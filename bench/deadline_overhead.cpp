@@ -84,8 +84,6 @@ double run_variant(const std::vector<flow::Graph>& graphs,
 const char* kind_name(flow::SolverKind kind) {
   switch (kind) {
     case flow::SolverKind::kBellmanFord: return "bellman-ford";
-    case flow::SolverKind::kMinMean: return "min-mean";
-    case flow::SolverKind::kCapacityScaling: return "capacity-scaling";
     case flow::SolverKind::kNetworkSimplex: return "network-simplex";
   }
   return "?";
@@ -119,8 +117,6 @@ int main() {
 
   const flow::SolverKind kinds[] = {
       flow::SolverKind::kBellmanFord,
-      flow::SolverKind::kMinMean,
-      flow::SolverKind::kCapacityScaling,
       flow::SolverKind::kNetworkSimplex,
   };
 

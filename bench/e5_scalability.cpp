@@ -35,20 +35,6 @@ BENCHMARK(BM_SolveCirculationBellmanFord)
     ->Complexity()
     ->Unit(benchmark::kMillisecond);
 
-void BM_SolveCirculationMinMean(benchmark::State& state) {
-  const core::Game game = make_game(static_cast<flow::NodeId>(state.range(0)));
-  const flow::Graph g = game.build_graph(game.truthful_bids());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        flow::solve_max_welfare(g, flow::SolverKind::kMinMean));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_SolveCirculationMinMean)
-    ->RangeMultiplier(2)
-    ->Range(32, 128)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_SolveCirculationNetworkSimplex(benchmark::State& state) {
   const core::Game game = make_game(static_cast<flow::NodeId>(state.range(0)));
   const flow::Graph g = game.build_graph(game.truthful_bids());

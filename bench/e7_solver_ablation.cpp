@@ -1,11 +1,10 @@
-// E7 — solver ablation: Bellman–Ford cycle cancelling vs min-mean-cycle
-// cancelling vs the LP simplex referee. Same optimum everywhere (checked
-// exactly); very different runtimes and iteration counts.
+// E7 — solver ablation: Bellman–Ford cycle cancelling vs network simplex
+// vs the LP simplex referee. Same optimum everywhere (checked exactly);
+// very different runtimes and iteration counts.
 #include <chrono>
 #include <cstdio>
 #include <utility>
 
-#include "flow/min_mean_cycle.hpp"
 #include "flow/residual.hpp"
 #include "flow/solver.hpp"
 #include "gen/game_gen.hpp"
@@ -34,12 +33,10 @@ int main() {
               "agreement checked exactly)\n\n");
 
   util::Rng rng(2468);
-  util::Table table({"n", "edges", "BF ms", "scaling ms", "minmean ms",
-                     "simplex ms", "simplex pivots", "NS fallbacks", "LP ms",
-                     "agree"});
+  util::Table table({"n", "edges", "BF ms", "simplex ms", "simplex pivots",
+                     "NS fallbacks", "LP ms", "agree"});
   for (flow::NodeId n : {16, 32, 64, 128}) {
-    util::Accumulator bf_ms, cs_ms, mm_ms, ns_ms, lp_ms, bf_cycles,
-        cs_cycles, mm_cycles, ns_pivots, lp_iters;
+    util::Accumulator bf_ms, ns_ms, lp_ms, bf_cycles, ns_pivots, lp_iters;
     int ns_fallbacks = 0;  // pivot-cap fallbacks to the BF canceller
     int edges = 0;
     bool all_agree = true;
@@ -59,20 +56,6 @@ int main() {
       bf_cycles.add(bf_stats.cycles_cancelled);
 
       t0 = std::chrono::steady_clock::now();
-      flow::SolveStats cs_stats;
-      const flow::Circulation f_cs = flow::solve_max_welfare(
-          g, flow::SolverKind::kCapacityScaling, &cs_stats);
-      cs_ms.add(ms_since(t0));
-      cs_cycles.add(cs_stats.cycles_cancelled);
-
-      t0 = std::chrono::steady_clock::now();
-      flow::SolveStats mm_stats;
-      const flow::Circulation f_mm =
-          flow::solve_max_welfare(g, flow::SolverKind::kMinMean, &mm_stats);
-      mm_ms.add(ms_since(t0));
-      mm_cycles.add(mm_stats.cycles_cancelled);
-
-      t0 = std::chrono::steady_clock::now();
       flow::SolveStats ns_stats;
       const flow::Circulation f_ns = flow::solve_max_welfare(
           g, flow::SolverKind::kNetworkSimplex, &ns_stats);
@@ -86,27 +69,21 @@ int main() {
       lp_iters.add(lp_result.iterations > 0 ? lp_result.iterations : 0);
 
       const auto w_bf = flow::scaled_welfare(g, f_bf);
-      const auto w_mm = flow::scaled_welfare(g, f_mm);
       const double w_lp = lp_result.welfare;
-      if (flow::scaled_welfare(g, f_cs) != w_bf) all_agree = false;
       if (flow::scaled_welfare(g, f_ns) != w_bf ||
-          !flow::is_optimal(g, f_ns)) {
-        all_agree = false;
-      }
-      if (w_bf != w_mm ||
           std::abs(w_lp - static_cast<double>(w_bf) / flow::kGainScale) >
               1e-5) {
         all_agree = false;
       }
       // Exact optimality certificate on both combinatorial solutions.
-      if (!flow::is_optimal(g, f_bf) || !flow::is_optimal(g, f_mm)) {
+      if (!flow::is_optimal(g, f_bf) || !flow::is_optimal(g, f_ns)) {
         all_agree = false;
       }
     }
     // ms means over the trials -> ns/op per solver at this size.
     const std::pair<const char*, const util::Accumulator*> solver_ms[] = {
-        {"bellman_ford", &bf_ms},    {"capacity_scaling", &cs_ms},
-        {"min_mean", &mm_ms},        {"network_simplex", &ns_ms},
+        {"bellman_ford", &bf_ms},
+        {"network_simplex", &ns_ms},
         {"lp_simplex", &lp_ms}};
     for (const auto& [op, acc] : solver_ms) {
       bench.add(util::format("%s/n%d", op, n), 1e6 * acc->mean(),
@@ -114,8 +91,6 @@ int main() {
     }
     table.add_row({util::fmt_int(n), util::fmt_int(edges),
                    util::fmt_double(bf_ms.mean(), 2),
-                   util::fmt_double(cs_ms.mean(), 2),
-                   util::fmt_double(mm_ms.mean(), 2),
                    util::fmt_double(ns_ms.mean(), 2),
                    util::fmt_double(ns_pivots.mean(), 0),
                    util::fmt_int(ns_fallbacks),
@@ -124,11 +99,10 @@ int main() {
   }
   table.print();
   std::printf(
-      "\nexpected shape: all five solvers agree on the optimum exactly\n"
+      "\nexpected shape: all three solvers agree on the optimum exactly\n"
       "(checked via scaled-integer welfare plus the residual-cycle\n"
       "certificate). Network simplex dominates at scale (~20x over the\n"
-      "cancellers at n=512+); min-mean pays the Karp overhead for its\n"
-      "strongly-polynomial bound; the dense LP simplex is the slow\n"
-      "independent referee.\n");
+      "canceller at n=512+); the dense LP simplex is the slow independent\n"
+      "referee.\n");
   return 0;
 }

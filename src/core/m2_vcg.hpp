@@ -39,14 +39,13 @@ class M2Vcg : public Mechanism {
   }
 
   /// Aggregate VCG pivot price of each player under the given bids (tail
-  /// bids zeroed). Exposed for tests and the truthfulness bench. The
-  /// exclusion re-solves run as O(deg) capacity masks on `ctx`'s graph —
-  /// no per-buyer graph rebuilds. When `ctx` carries a current shard
-  /// pool (an attached Executor with concurrency > 1), each exclusion
-  /// re-solves only the masked buyer's weakly-connected component, and
-  /// components are repriced as parallel executor tasks with task-local
-  /// solver state — `ctx` itself is never shared across threads. Prices
-  /// are bit-identical either way.
+  /// bids zeroed). Exposed for tests and the truthfulness bench. Each
+  /// exclusion is an O(deg) capacity mask (flow::mask_node) on a copy of
+  /// the buyer's weakly-connected component, re-solved alone — no
+  /// per-buyer graph rebuilds, and never the whole graph. Components are
+  /// repriced as tasks on `ctx`'s executor with task-local solver state;
+  /// `ctx` itself is never shared across threads. Prices are
+  /// bit-identical to whole-graph G_{-v} solves at any thread count.
   std::vector<double> vcg_prices(flow::SolveContext& ctx, const Game& game,
                                  const BidVector& bids) const;
 

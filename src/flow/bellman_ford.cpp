@@ -23,72 +23,6 @@ NodeId walk_predecessors(NodeId start, int steps,
 
 }  // namespace
 
-std::vector<std::vector<int>> find_negative_cycles(
-    NodeId num_nodes, std::span<const ResidualArc> arcs) {
-  BellmanFordScratch scratch;
-  return find_negative_cycles(num_nodes, arcs, scratch);
-}
-
-std::vector<std::vector<int>> find_negative_cycles(
-    NodeId num_nodes, std::span<const ResidualArc> arcs,
-    BellmanFordScratch& scratch) {
-  std::vector<std::vector<int>> cycles;
-  if (num_nodes == 0 || arcs.empty()) return cycles;
-  const std::size_t n = static_cast<std::size_t>(num_nodes);
-
-  std::vector<std::int64_t>& dist = scratch.dist;
-  std::vector<int>& parent_arc = scratch.parent_arc;
-  std::vector<NodeId>& updated_last_pass = scratch.updated_last_pass;
-  dist.assign(n, 0);
-  parent_arc.assign(n, -1);
-  for (NodeId pass = 0; pass < num_nodes; ++pass) {
-    updated_last_pass.clear();
-    for (std::size_t a = 0; a < arcs.size(); ++a) {
-      const ResidualArc& arc = arcs[a];
-      const std::int64_t cand =
-          dist[static_cast<std::size_t>(arc.from)] + arc.cost;
-      if (cand < dist[static_cast<std::size_t>(arc.to)]) {
-        dist[static_cast<std::size_t>(arc.to)] = cand;
-        parent_arc[static_cast<std::size_t>(arc.to)] = static_cast<int>(a);
-        updated_last_pass.push_back(arc.to);
-      }
-    }
-    if (updated_last_pass.empty()) return cycles;  // converged
-  }
-
-  // Every node updated in the n-th pass reaches a negative cycle via the
-  // predecessor forest; harvest each distinct cycle once.
-  std::vector<unsigned char>& claimed = scratch.claimed;
-  claimed.assign(n, 0);
-  for (NodeId start : updated_last_pass) {
-    const NodeId inside =
-        walk_predecessors(start, num_nodes, parent_arc, arcs);
-    if (claimed[static_cast<std::size_t>(inside)]) continue;
-    std::vector<int> cycle;
-    bool fresh = true;
-    NodeId v = inside;
-    do {
-      if (claimed[static_cast<std::size_t>(v)]) {
-        fresh = false;  // ran into a previously harvested cycle
-        break;
-      }
-      claimed[static_cast<std::size_t>(v)] = 1;
-      const int pa = parent_arc[static_cast<std::size_t>(v)];
-      MUSK_ASSERT(pa >= 0);
-      cycle.push_back(pa);
-      v = arcs[static_cast<std::size_t>(pa)].from;
-    } while (v != inside);
-    if (!fresh) continue;
-    std::reverse(cycle.begin(), cycle.end());
-    std::int64_t total = 0;
-    for (int a : cycle) total += arcs[static_cast<std::size_t>(a)].cost;
-    MUSK_ASSERT_MSG(total < 0, "harvested cycle must have negative cost");
-    cycles.push_back(std::move(cycle));
-  }
-  MUSK_ASSERT(!cycles.empty());
-  return cycles;
-}
-
 std::optional<std::vector<int>> find_negative_cycle(
     NodeId num_nodes, std::span<const ResidualArc> arcs) {
   BellmanFordScratch scratch;

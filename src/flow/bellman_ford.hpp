@@ -24,17 +24,4 @@ std::optional<std::vector<int>> find_negative_cycle(
     NodeId num_nodes, std::span<const ResidualArc> arcs,
     BellmanFordScratch& scratch);
 
-/// Extracts *several* vertex-disjoint negative cycles from one
-/// Bellman–Ford run (one per distinct cycle in the final predecessor
-/// forest). Each Bellman–Ford pass costs O(nm); harvesting every cycle it
-/// found amortizes that cost across many cancellations. Returns an empty
-/// vector iff no negative cycle exists.
-std::vector<std::vector<int>> find_negative_cycles(
-    NodeId num_nodes, std::span<const ResidualArc> arcs);
-
-/// Scratch-reusing variant (bit-identical result).
-std::vector<std::vector<int>> find_negative_cycles(
-    NodeId num_nodes, std::span<const ResidualArc> arcs,
-    BellmanFordScratch& scratch);
-
 }  // namespace musketeer::flow

@@ -1,10 +1,10 @@
 // The flow layer's task-execution seam.
 //
-// SolveContext's sharded solve path and the mechanisms above it fan
+// SolveContext's component solve and the mechanisms above it fan
 // independent per-component work out through this interface instead of
 // spawning threads themselves (musk_lint's raw-thread rule enforces
-// that). The only production implementation is svc::ParallelExecutor —
-// a fixed, rank-locked worker pool — but the seam lives here so flow/
+// that). The production implementation is svc::ParallelExecutor — a
+// fixed, rank-locked worker pool — but the seam lives here so flow/
 // core/sim can be shard-aware without depending on the service layer.
 //
 // Semantics of run(count, fn):
@@ -16,8 +16,8 @@
 //   * tasks must be disjoint: fn(i) may not touch state fn(j) touches.
 //     The executor provides the barrier's synchronizes-with edges, so
 //     disjoint tasks need no locks of their own;
-//   * concurrency() == 1 means fn runs inline on the caller —
-//     SolveContext treats that as "legacy path" and skips sharding.
+//   * concurrency() == 1 means fn runs inline on the caller, one task
+//     after another. Callers partition the same way at any concurrency.
 #pragma once
 
 #include <cstddef>
@@ -52,8 +52,8 @@ class Executor {
   virtual void set_cancel(util::CancelToken* /*token*/) {}
 };
 
-/// Inline executor: runs every task sequentially on the caller. Useful
-/// as an explicit "threads = 1" stand-in and in tests.
+/// Inline executor: runs every task sequentially on the caller. A
+/// SolveContext with no attached executor solves through one.
 class SerialExecutor final : public Executor {
  public:
   int concurrency() const override { return 1; }

@@ -58,4 +58,21 @@ Amount Graph::total_capacity() const {
   return total;
 }
 
+void mask_node(Graph& g, NodeId v, SavedCapacities& saved) {
+  saved.clear();
+  // No self-loops, so out- and in-incidence are disjoint edge sets.
+  for (const EdgeId e : g.out_edges(v)) {
+    saved.emplace_back(e, g.edge(e).capacity);
+    g.set_capacity(e, 0);
+  }
+  for (const EdgeId e : g.in_edges(v)) {
+    saved.emplace_back(e, g.edge(e).capacity);
+    g.set_capacity(e, 0);
+  }
+}
+
+void restore_capacities(Graph& g, const SavedCapacities& saved) {
+  for (const auto& [e, capacity] : saved) g.set_capacity(e, capacity);
+}
+
 }  // namespace musketeer::flow

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -91,5 +92,17 @@ class Graph {
   std::vector<std::vector<EdgeId>> out_;
   std::vector<std::vector<EdgeId>> in_;
 };
+
+/// Capacities a mask_node call zeroed: (edge id, previous capacity).
+using SavedCapacities = std::vector<std::pair<EdgeId, Amount>>;
+
+/// Zeroes the capacity of every edge incident to `v` in O(deg v),
+/// recording the previous capacities in `saved` (cleared first). On a
+/// game graph the masked graph equals Game::build_graph_without(bids, v)
+/// — the paper's G_{-v} — so VCG exclusions need no graph rebuild.
+void mask_node(Graph& g, NodeId v, SavedCapacities& saved);
+
+/// Restores the capacities a mask_node call saved.
+void restore_capacities(Graph& g, const SavedCapacities& saved);
 
 }  // namespace musketeer::flow

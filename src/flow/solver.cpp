@@ -2,7 +2,6 @@
 
 #include "flow/bellman_ford.hpp"
 #include "flow/network_simplex.hpp"
-#include "flow/min_mean_cycle.hpp"
 #include "flow/residual.hpp"
 
 namespace musketeer::flow {
@@ -16,10 +15,9 @@ Circulation solve_bellman_ford(const Graph& g, Workspace& ws,
   for (;;) {
     MUSK_CANCEL_POINT(cancel);
     build_residual(g, f, ws.arcs);
-    // Single-cycle cancelling measures faster here than harvesting every
-    // disjoint cycle per pass (find_negative_cycles): on PCN-like graphs
-    // the predecessor forest rarely holds more than one disjoint cycle,
-    // so batching only adds bookkeeping (see bench/e7_solver_ablation).
+    // Single-cycle cancelling measured faster than harvesting every
+    // disjoint cycle per pass: on PCN-like graphs the predecessor forest
+    // rarely holds more than one disjoint cycle (EXPERIMENTS.md, E7).
     const auto cycle = find_negative_cycle(g.num_nodes(), ws.arcs, ws.bf);
     if (!cycle) break;
     const Amount amount = bottleneck(ws.arcs, *cycle);
@@ -27,59 +25,6 @@ Circulation solve_bellman_ford(const Graph& g, Workspace& ws,
     if (stats != nullptr) {
       ++stats->cycles_cancelled;
       stats->units_pushed += amount;
-    }
-  }
-  return f;
-}
-
-Circulation solve_min_mean(const Graph& g, Workspace& ws, SolveStats* stats,
-                           util::CancelToken* cancel) {
-  Circulation f = zero_circulation(g);
-  for (;;) {
-    MUSK_CANCEL_POINT(cancel);
-    build_residual(g, f, ws.arcs);
-    const auto mmc = min_mean_cycle(g.num_nodes(), ws.arcs, ws.mmc);
-    if (!mmc || !mmc->mean.is_negative()) break;
-    const Amount amount = bottleneck(ws.arcs, mmc->arcs);
-    push_along(ws.arcs, mmc->arcs, amount, f);
-    if (stats != nullptr) {
-      ++stats->cycles_cancelled;
-      stats->units_pushed += amount;
-    }
-  }
-  return f;
-}
-
-Circulation solve_capacity_scaling(const Graph& g, Workspace& ws,
-                                   SolveStats* stats,
-                                   util::CancelToken* cancel) {
-  Circulation f = zero_circulation(g);
-  Amount max_capacity = 0;
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    max_capacity = std::max(max_capacity, g.edge(e).capacity);
-  }
-  Amount delta = 1;
-  while (delta * 2 <= max_capacity) delta *= 2;
-
-  for (; delta >= 1; delta /= 2) {
-    for (;;) {
-      MUSK_CANCEL_POINT(cancel);
-      build_residual(g, f, ws.arcs);
-      std::vector<ResidualArc>& wide = ws.wide;
-      wide.clear();
-      wide.reserve(ws.arcs.size());
-      for (const ResidualArc& arc : ws.arcs) {
-        if (arc.residual >= delta) wide.push_back(arc);
-      }
-      const auto cycle = find_negative_cycle(g.num_nodes(), wide, ws.bf);
-      if (!cycle) break;
-      const Amount amount = bottleneck(wide, *cycle);
-      MUSK_ASSERT(amount >= delta);
-      push_along(wide, *cycle, amount, f);
-      if (stats != nullptr) {
-        ++stats->cycles_cancelled;
-        stats->units_pushed += amount;
-      }
     }
   }
   return f;
@@ -103,12 +48,6 @@ Circulation solve_max_welfare(const Graph& g, Workspace& ws, SolverKind kind,
     switch (kind) {
       case SolverKind::kBellmanFord:
         f = solve_bellman_ford(g, ws, stats, cancel);
-        break;
-      case SolverKind::kMinMean:
-        f = solve_min_mean(g, ws, stats, cancel);
-        break;
-      case SolverKind::kCapacityScaling:
-        f = solve_capacity_scaling(g, ws, stats, cancel);
         break;
       case SolverKind::kNetworkSimplex:
         f = solve_network_simplex(g, ws, stats, cancel);

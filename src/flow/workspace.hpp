@@ -1,8 +1,8 @@
 // Reusable solver workspaces.
 //
 // Every solver in src/flow historically allocated its scratch state
-// (residual arc lists, Bellman–Ford distance/predecessor tables, Karp DP
-// tables, simplex bases, decomposition cursors) from the heap on every
+// (residual arc lists, Bellman–Ford distance/predecessor tables, simplex
+// bases, decomposition cursors) from the heap on every
 // call — fine for one-shot experiments, hostile to the epoch service and
 // to VCG's n+1 re-solves on an unchanged topology. A Workspace bundles
 // all of that scratch into one value that callers keep alive across
@@ -22,25 +22,10 @@
 
 namespace musketeer::flow {
 
-/// Scratch for find_negative_cycle / find_negative_cycles.
+/// Scratch for find_negative_cycle.
 struct BellmanFordScratch {
   std::vector<std::int64_t> dist;
   std::vector<int> parent_arc;
-  std::vector<NodeId> updated_last_pass;
-  std::vector<unsigned char> claimed;
-};
-
-/// Scratch for Karp's min-mean-cycle computation.
-struct MinMeanScratch {
-  /// Flattened (n+1) x n DP table of walk costs.
-  std::vector<std::int64_t> dp;
-  std::vector<std::int64_t> shifted;
-  std::vector<std::int64_t> dist;
-  std::vector<int> tight;
-  /// Tight-subgraph adjacency for witness extraction (outer vector is
-  /// resized to n; inner vectors keep their capacity across calls).
-  std::vector<std::vector<int>> adj;
-  std::vector<unsigned char> color;
 };
 
 /// Scratch for the network simplex basis (arcs, tree, potentials).
@@ -83,10 +68,7 @@ struct DecomposeScratch {
 struct Workspace {
   /// Residual network of the current iterate (rebuilt in place).
   std::vector<ResidualArc> arcs;
-  /// Delta-filtered arc subset (capacity scaling only).
-  std::vector<ResidualArc> wide;
   BellmanFordScratch bf;
-  MinMeanScratch mmc;
   SimplexScratch ns;
   DecomposeScratch dec;
 };

@@ -113,10 +113,10 @@ class RebalanceBackend {
 /// graph. Use from one thread at a time, like the rest of the engine.
 class MechanismBackend final : public RebalanceBackend {
  public:
-  /// `executor` (borrowed, optional) turns on the component-sharded
-  /// solve path — attach a svc::ParallelExecutor to fan the per-epoch
-  /// solve out across components. Results are bit-identical with or
-  /// without it (DESIGN.md §13).
+  /// `executor` (borrowed, optional) runs the per-epoch component solves
+  /// — attach a svc::ParallelExecutor to fan them out across threads;
+  /// without one they run in turn on the caller. Results are
+  /// bit-identical either way (DESIGN.md §13).
   explicit MechanismBackend(const core::Mechanism& mechanism,
                             flow::Executor* executor = nullptr)
       : mechanism_(&mechanism) {

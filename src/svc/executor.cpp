@@ -90,7 +90,7 @@ void ParallelExecutor::run(std::size_t count,
                            const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
   if (threads_ == 1 || count == 1) {
-    // Inline legacy path: no locks, no cross-thread handoff. The cancel
+    // Inline path: no locks, no cross-thread handoff. The cancel
     // check mirrors drain_batch's so "--threads 1" degrades under a
     // deadline exactly like the pool does.
     util::CancelToken* const cancel = cancel_.load(std::memory_order_relaxed);

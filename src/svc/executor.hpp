@@ -16,8 +16,7 @@
 //     time from a shared atomic counter, so a worker stuck on the
 //     largest component never serializes the small ones behind it. The
 //     caller's thread participates too — threads == 1 degenerates to a
-//     plain inline loop with no locking at all (the literal legacy
-//     path).
+//     plain inline loop with no locking at all.
 //   * Determinism lives in the CALLER, not here: task execution order is
 //     unspecified, so callers must write results into disjoint,
 //     index-addressed slots and merge in index order (SolveContext and

@@ -77,8 +77,8 @@ RebalanceService::RebalanceService(pcn::Network& network,
       executor_(config.threads),
       network_(network),
       epochs_cleared_(config.first_epoch) {
-  // With concurrency 1 the context ignores the executor entirely and
-  // takes the literal legacy whole-graph path.
+  // With concurrency 1 the executor runs the component tasks inline on
+  // the clearing thread.
   solve_context_.set_executor(&executor_);
   // The ladder only matters once a deadline or watchdog can cancel an
   // attempt, but it is built unconditionally so a bad name fails at
@@ -439,11 +439,8 @@ bool RebalanceService::run_attempt(const core::Mechanism& mechanism,
     outcome = mechanism.run(solve_context_, game, bids);
     report.solve_seconds += solve_span.end();
   } catch (const util::SolveCancelled&) {
-    // Disarm, then repair context state the unwind skipped: a VCG
-    // exclusion cancelled mid-repricing throws through its unmask().
     watchdog_deadline_at_.store(0.0, std::memory_order_relaxed);
     solve_context_.set_cancel(nullptr);
-    if (solve_context_.masked_player() >= 0) solve_context_.unmask();
     deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
     MUSK_OBS_COUNT("svc.epoch.deadline_exceeded_total", 1);
     if (watchdog_fired_attempt_.load(std::memory_order_relaxed)) {

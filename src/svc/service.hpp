@@ -77,9 +77,9 @@ struct ServiceConfig {
   int first_epoch = 0;
   /// Solve concurrency: worker threads (including the clearing thread)
   /// the epoch solve fans component tasks out across. 0 = hardware
-  /// concurrency; 1 = the literal legacy whole-graph path (no
-  /// partitioning, no pool). Outcomes are bit-identical at any value —
-  /// see DESIGN.md §13.
+  /// concurrency; 1 = components solved in turn on the clearing thread
+  /// (no pool). Outcomes are bit-identical at any value — see
+  /// DESIGN.md §13.
   int threads = 0;
   /// Per-attempt clearing deadline (0 = disabled, the legacy run-to-
   /// completion behavior). When an attempt's solve exceeds it, the solve
@@ -200,14 +200,15 @@ struct EpochReport {
   double solve_seconds = 0.0;     ///< mechanism run (bind+solve+price)
   double settle_seconds = 0.0;    ///< apply_outcome under network mutex
   /// flow::Graph structure (re)builds the clearing solve context
-  /// performed for this epoch. The first epoch builds once; in a
-  /// quiescent steady state (stable extracted topology) every later
-  /// epoch rebinds in place and reports 0 — the zero-rebuild guarantee.
-  /// Not part of the wire protocol (local observability only).
+  /// performed for this epoch. The first epoch builds the graph and one
+  /// subgraph per component; in a quiescent steady state (stable
+  /// extracted topology) every later epoch rebinds in place and reports
+  /// 0 — the zero-rebuild guarantee. Not part of the wire protocol
+  /// (local observability only).
   int graph_rebuilds = 0;
   /// Weakly-connected components the epoch's bid graph partitioned into
-  /// and the largest component's edge count (1 / game_edges on the
-  /// monolithic --threads 1 path; 0 for an empty epoch).
+  /// and the largest component's edge count, the same at every thread
+  /// count (0 for an empty epoch).
   int solve_components = 0;
   int largest_component = 0;
   /// Degradation ladder rungs this epoch descended before clearing
@@ -354,7 +355,7 @@ class RebalanceService {
   /// Rank note: epoch callbacks (socket broadcast) run with this held,
   /// so the server's locks rank *below* it (DESIGN.md §11).
   util::OrderedMutex clear_mutex_{util::LockRank::kService, "svc.clear"};
-  /// Worker pool the sharded solve path fans component tasks through
+  /// Worker pool the epoch solve fans component tasks through
   /// (kExecutor rank — submitted with clear_mutex_ held). Internally
   /// synchronized by its own mutex, so clear_mutex_ does not guard it;
   /// declared before solve_context_, which borrows it.

@@ -18,7 +18,7 @@ namespace musketeer::svc {
 class ServiceBackend final : public sim::RebalanceBackend {
  public:
   /// `threads` is ServiceConfig::threads (0 = hardware concurrency,
-  /// 1 = legacy whole-graph solve).
+  /// 1 = components solved in turn on the clearing thread).
   explicit ServiceBackend(const core::Mechanism& mechanism,
                           std::size_t queue_capacity = 1024, int threads = 1);
   ~ServiceBackend() override;

@@ -139,5 +139,31 @@ TEST(M2Test, PricesBitIdenticalThroughReusedContext) {
   }
 }
 
+TEST(M2Test, RunSolvesTheFullGraphOnce) {
+  // One run = one bind and one full-graph solve; the exclusions re-solve
+  // component copies and never touch the context's graph.
+  util::Rng rng(0xF00D);
+  gen::GameConfig config;
+  config.depleted_share = 0.35;
+  const Game game = gen::random_ba_game(30, 2, config, rng);
+  const M2Vcg m2;
+  flow::SolveContext ctx;
+  const Outcome cold = m2.run_truthful(ctx, game);  // structure build
+  const flow::ContextStats before = ctx.stats();
+  const Outcome warm = m2.run_truthful(ctx, game);
+  EXPECT_EQ(ctx.stats().solves - before.solves, 1);
+  EXPECT_EQ(ctx.stats().rebinds - before.rebinds, 1);
+  EXPECT_EQ(ctx.stats().structure_builds, before.structure_builds);
+  EXPECT_EQ(warm.circulation, cold.circulation);
+  ASSERT_EQ(warm.cycles.size(), cold.cycles.size());
+  for (std::size_t i = 0; i < warm.cycles.size(); ++i) {
+    EXPECT_EQ(warm.cycles[i].cycle.edges, cold.cycles[i].cycle.edges);
+    ASSERT_EQ(warm.cycles[i].prices.size(), cold.cycles[i].prices.size());
+    for (std::size_t j = 0; j < warm.cycles[i].prices.size(); ++j) {
+      EXPECT_EQ(warm.cycles[i].prices[j].price, cold.cycles[i].prices[j].price);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace musketeer::core

@@ -27,8 +27,6 @@ namespace {
 
 constexpr SolverKind kKinds[] = {
     SolverKind::kBellmanFord,
-    SolverKind::kMinMean,
-    SolverKind::kCapacityScaling,
     SolverKind::kNetworkSimplex,
 };
 

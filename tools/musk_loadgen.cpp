@@ -16,7 +16,7 @@
 // ephemeral loopback port):
 //   --nodes <n> --seed <s> --mechanism <m> --epoch-ms <ms>
 //   --queue-cap <n> --threads <n> (epoch-solve concurrency;
-//   0 = hardware, 1 = legacy whole-graph solve)
+//   0 = hardware, 1 = components in turn on the clearing thread)
 //   --deadline-ms <ms> --degrade <m,m,...> --watchdog-ms <ms>
 //   (per-epoch clearing deadline, degradation ladder, and watchdog
 //   backstop — see musketeerd; useful for demoing overload shedding)

@@ -17,8 +17,8 @@
 //                          (route every epoch through svc::RebalanceService)
 //   --threads <n>          epoch-solve concurrency: shard the bid graph by
 //                          weakly-connected component across n threads
-//                          (0 = hardware concurrency, 1 = legacy
-//                          whole-graph solve; results are bit-identical
+//                          (0 = hardware concurrency, 1 = components
+//                          in turn on one thread; results are bit-identical
 //                          at any value)
 //
 // Exit status: 0 on success, 1 on usage errors, 2 on invalid input.
@@ -63,7 +63,7 @@ struct CliOptions {
   core::MechanismOptions mechanism;
   std::string metrics_out;
   std::string backend = "inproc";
-  /// Epoch-solve concurrency (0 = hardware, 1 = legacy whole-graph).
+  /// Epoch-solve concurrency (0 = hardware, 1 = inline on one thread).
   int threads = 1;
 };
 

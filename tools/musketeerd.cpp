@@ -13,8 +13,9 @@
 //   --threads <n>      epoch-solve concurrency: the clearing solve
 //                      shards the bid graph by weakly-connected
 //                      component across n threads (0 = hardware
-//                      concurrency, 1 = legacy whole-graph solve;
-//                      outcomes are bit-identical either way)  [0]
+//                      concurrency, 1 = components in turn on the
+//                      clearing thread; outcomes are bit-identical
+//                      at any value)                          [0]
 //   --journal <path>   crash-safe epoch journal (WAL); on restart the
 //                      daemon recovers from the newest valid snapshot
 //                      (if any) plus the journal tail — falling back to
