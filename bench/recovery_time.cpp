@@ -63,7 +63,7 @@ pcn::Network genesis_network() {
   return sim::build_network(config, rng);
 }
 
-/// Removes every on-disk artifact of a journal base (segments, manifest,
+/// Removes every on-disk artifact of a journal base (segments,
 /// snapshots, stray tmp) so each bench run starts from nothing.
 void remove_journal_files(const std::string& base) {
   for (const std::uint64_t seq : svc::list_segments(base)) {
@@ -72,9 +72,7 @@ void remove_journal_files(const std::string& base) {
   for (const std::uint64_t seq : svc::list_snapshots(base)) {
     std::remove(svc::snapshot_path(base, seq).c_str());
   }
-  std::remove(svc::manifest_path(base).c_str());
   std::remove((base + ".snap.tmp").c_str());
-  std::remove((base + ".manifest.tmp").c_str());
 }
 
 /// One live service + its journal artifacts, driven in chunks so the

@@ -1,8 +1,6 @@
 #include "svc/journal.hpp"
 
-#include <dirent.h>
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,16 +11,18 @@
 
 #include "core/io.hpp"
 #include "obs/obs.hpp"
+#include "svc/file_io.hpp"
 #include "util/fault.hpp"
 
 namespace musketeer::svc {
 
 namespace {
 
+using file_io::fnv1a;
+using file_io::load_u64;
+
 constexpr char kHeader[] = "MUSKJRN1";
 constexpr std::size_t kHeaderBytes = 8;
-constexpr char kManifestHeader[] = "MUSKMAN1";
-constexpr std::size_t kManifestHeaderBytes = 8;
 // 'M' 'J' 'R' 'N' little-endian.
 constexpr std::uint32_t kRecordMagic = 0x4E524A4DU;
 // magic + type + epoch + digest + payload_len.
@@ -33,23 +33,8 @@ constexpr std::size_t kChecksumBytes = 8;
 // corruption, not data.
 constexpr std::size_t kMaxRecordPayload = 16u << 20;
 
-std::uint64_t fnv1a(const char* data, std::size_t n) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 std::uint32_t load_u32(const char* p) {
   std::uint32_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-std::uint64_t load_u64(const char* p) {
-  std::uint64_t v;
   std::memcpy(&v, p, sizeof v);
   return v;
 }
@@ -69,147 +54,24 @@ std::string encode_record(RecordType type, int epoch, std::uint64_t digest,
   return out;
 }
 
-[[noreturn]] void io_fail(const std::string& path, const char* op,
-                          const char* what) {
-  const int saved = errno;
-  throw JournalError(
-      "journal " + path + ": " + what + ": " + std::strerror(saved), op,
-      saved);
-}
-
-void write_all(int fd, const std::string& path, const char* data,
-               std::size_t n) {
-  while (n > 0) {
-    const ssize_t wrote = ::write(fd, data, n);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      io_fail(path, "write", "write failed");
-    }
-    data += wrote;
-    n -= static_cast<std::size_t>(wrote);
-  }
-}
-
-std::string dir_of(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
-}
-
-std::string base_of(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-// Durability of creates/renames/unlinks needs the directory entry itself
-// on disk. Best-effort: a directory that cannot be opened (exotic FS)
-// degrades to POSIX-default behaviour, it does not fail the operation.
-void fsync_parent_dir(const std::string& path) {
+// Creates segment file `path` holding only the header, durable together
+// with its directory entry, and returns its open fd. On failure the file
+// is removed again, so no half-written header is left to fail the next
+// open.
+int create_segment(const std::string& path) {
   const int fd =
-      ::open(dir_of(path).c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
-}
-
-std::string read_file(const std::string& path, bool* exists) {
-  std::string buf;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (exists != nullptr) *exists = false;
-    if (errno == ENOENT) return buf;
-    io_fail(path, "open", "open failed");
-  }
-  if (exists != nullptr) *exists = true;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t got = ::read(fd, chunk, sizeof chunk);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      const int saved = errno;
-      ::close(fd);
-      errno = saved;
-      io_fail(path, "read", "read failed");
-    }
-    if (got == 0) break;
-    buf.append(chunk, static_cast<std::size_t>(got));
-  }
-  ::close(fd);
-  return buf;
-}
-
-// Atomic small-file publication: tmp + rename. Deliberately NO fsync
-// anywhere: this is only used for the manifest, which is advisory — a
-// crash can leave the old bytes, the new bytes, or a torn file, and
-// every reader (parse_manifest) treats all three as "rebuild from the
-// directory scan". Fsyncing here would buy durability nothing needs
-// while doubling the fsync bill of every checkpoint (the manifest is
-// rewritten on both the roll and the compaction halves).
-void publish_file(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) io_fail(tmp, "open", "open failed");
+      ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) file_io::fail(path, "open", "open of new segment failed");
   try {
-    write_all(fd, tmp, bytes.data(), bytes.size());
+    file_io::write_all(fd, path, kHeader, kHeaderBytes);
+    if (::fsync(fd) != 0) file_io::fail(path, "fsync", "fsync failed");
   } catch (...) {
     ::close(fd);
-    ::unlink(tmp.c_str());
+    file_io::remove_file(path);
     throw;
   }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int saved = errno;
-    ::unlink(tmp.c_str());
-    errno = saved;
-    io_fail(path, "rename", "rename failed");
-  }
-}
-
-std::string encode_manifest(const std::vector<std::uint64_t>& seqs) {
-  std::string out(kManifestHeader, kManifestHeaderBytes);
-  std::string body;
-  core::codec::put_u32(body, static_cast<std::uint32_t>(seqs.size()));
-  for (const std::uint64_t seq : seqs) core::codec::put_u64(body, seq);
-  out += body;
-  core::codec::put_u64(out, fnv1a(body.data(), body.size()));
-  return out;
-}
-
-// Parses the manifest; returns false (without touching `seqs`) when the
-// file is missing, torn, or checksum-corrupt — the manifest is advisory
-// and the directory scan is the ground truth.
-bool parse_manifest(const std::string& path, std::vector<std::uint64_t>* seqs) {
-  bool exists = false;
-  std::string buf;
-  try {
-    buf = read_file(path, &exists);
-  } catch (const JournalError&) {
-    return false;
-  }
-  if (!exists || buf.size() < kManifestHeaderBytes + 4 + kChecksumBytes) {
-    return false;
-  }
-  if (std::memcmp(buf.data(), kManifestHeader, kManifestHeaderBytes) != 0) {
-    return false;
-  }
-  const char* body = buf.data() + kManifestHeaderBytes;
-  const std::size_t body_len = buf.size() - kManifestHeaderBytes -
-                               kChecksumBytes;
-  if (fnv1a(body, body_len) != load_u64(body + body_len)) return false;
-  const std::uint32_t count = load_u32(body);
-  if (body_len != 4 + static_cast<std::size_t>(count) * 8) return false;
-  seqs->clear();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    seqs->push_back(load_u64(body + 4 + static_cast<std::size_t>(i) * 8));
-  }
-  return true;
-}
-
-void write_manifest(const std::string& base_path,
-                    const std::vector<std::uint64_t>& seqs) {
-  publish_file(manifest_path(base_path), encode_manifest(seqs));
+  file_io::fsync_parent_dir(path);
+  return fd;
 }
 
 // Parses one segment file's bytes: fills `stat` and appends intact
@@ -288,42 +150,11 @@ SeqWatermarks decode_watermarks(std::string_view payload) {
 }
 
 std::string segment_path(const std::string& base_path, std::uint64_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, ".%06llu.wal",
-                static_cast<unsigned long long>(seq));
-  return base_path + buf;
-}
-
-std::string manifest_path(const std::string& base_path) {
-  return base_path + ".manifest";
+  return file_io::numbered_path(base_path, ".", seq, ".wal");
 }
 
 std::vector<std::uint64_t> list_segments(const std::string& base_path) {
-  std::vector<std::uint64_t> seqs;
-  const std::string dir = dir_of(base_path);
-  const std::string prefix = base_of(base_path) + ".";
-  constexpr char kSuffix[] = ".wal";
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return seqs;
-  while (const dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name.size() != prefix.size() + 6 + 4) continue;
-    if (name.compare(0, prefix.size(), prefix) != 0) continue;
-    if (name.compare(name.size() - 4, 4, kSuffix) != 0) continue;
-    bool digits = true;
-    std::uint64_t seq = 0;
-    for (std::size_t i = prefix.size(); i < prefix.size() + 6; ++i) {
-      if (name[i] < '0' || name[i] > '9') {
-        digits = false;
-        break;
-      }
-      seq = seq * 10 + static_cast<std::uint64_t>(name[i] - '0');
-    }
-    if (digits) seqs.push_back(seq);
-  }
-  ::closedir(d);
-  std::sort(seqs.begin(), seqs.end());
-  return seqs;
+  return file_io::list_numbered(base_path, ".", ".wal");
 }
 
 JournalScan scan_journal(const std::string& base_path) {
@@ -345,12 +176,17 @@ JournalScan scan_journal(const std::string& base_path) {
     stat.path = segment_path(base_path, seqs[i]);
     std::string buf;
     try {
-      buf = read_file(stat.path, nullptr);
+      buf = file_io::read_file(stat.path);
     } catch (const JournalError& e) {
-      flag(e.what());
-      chain_valid = false;
-      scan.segments.push_back(std::move(stat));
-      continue;
+      // A segment deleted since the listing reads as empty; any other
+      // failure (EACCES, EIO, ...) is no crash artifact.
+      if (e.saved_errno() != ENOENT) {
+        flag(e.what());
+        chain_valid = false;
+        stat.read_error = e;
+        scan.segments.push_back(std::move(stat));
+        continue;
+      }
     }
     if (chain_valid && i > 0 && seqs[i] != seqs[i - 1] + 1) {
       flag("segment gap: " + stat.path + " does not follow segment " +
@@ -370,18 +206,17 @@ JournalScan scan_journal(const std::string& base_path) {
     }
     scan.segments.push_back(std::move(stat));
   }
-
-  std::vector<std::uint64_t> manifest_seqs;
-  if (!parse_manifest(manifest_path(base_path), &manifest_seqs) ||
-      manifest_seqs != seqs) {
-    scan.manifest_ok = false;
-  }
   return scan;
 }
 
 Journal::Journal(std::string base_path, JournalConfig config)
     : path_(std::move(base_path)), config_(config) {
   const JournalScan scan = scan_journal(path_);
+  // A crash never leaves an unreadable segment: a failing disk or a
+  // wrong file owner surfaces as an error and unlinks nothing.
+  for (const SegmentStat& seg : scan.segments) {
+    if (seg.read_error) throw *seg.read_error;
+  }
 
   // Decide the longest usable prefix of the segment chain; everything
   // after it (rest of a torn segment + all later segments) is removed.
@@ -408,7 +243,6 @@ Journal::Journal(std::string base_path, JournalConfig config)
   }
 
   std::size_t live = keep + (keep_cut_segment ? 1 : 0);
-  bool repaired = false;
   std::size_t record_index = 0;
   for (std::size_t i = 0; i < live; ++i) {
     const SegmentStat& seg = scan.segments[i];
@@ -421,36 +255,24 @@ Journal::Journal(std::string base_path, JournalConfig config)
 
   // Unlink the discarded tail segments (crash artifacts past the cut).
   for (std::size_t i = live; i < scan.segments.size(); ++i) {
-    truncated_tail_bytes_ += scan.segments[i].file_bytes;
-    if (::unlink(scan.segments[i].path.c_str()) != 0 && errno != ENOENT) {
-      io_fail(scan.segments[i].path, "unlink",
-              "unlink of crash-artifact segment failed");
+    const SegmentStat& seg = scan.segments[i];
+    truncated_tail_bytes_ += seg.file_bytes;
+    if (!file_io::remove_file(seg.path)) {
+      file_io::fail(seg.path, "unlink",
+                    "unlink of crash-artifact segment failed");
     }
-    repaired = true;
   }
-  if (repaired) fsync_parent_dir(path_);
+  if (live < scan.segments.size()) file_io::fsync_parent_dir(path_);
 
   if (segments_.empty()) {
     // Fresh journal (no segments, or a single empty segment-0 file).
     segments_.push_back(LiveSegment{0, kHeaderBytes, 0});
-    const std::string path0 = segment_path(path_, 0);
-    fd_ = ::open(path0.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd_ < 0) io_fail(path0, "open", "open failed");
-    try {
-      write_all(fd_, path0, kHeader, kHeaderBytes);
-      if (::fsync(fd_) != 0) io_fail(path0, "fsync", "fsync failed");
-    } catch (...) {
-      ::close(fd_);
-      fd_ = -1;
-      throw;
-    }
-    fsync_parent_dir(path_);
-    repaired = true;
+    fd_ = create_segment(segment_path(path_, 0));
   } else {
     const LiveSegment& tail = segments_.back();
     const std::string tail_path = segment_path(path_, tail.seq);
     fd_ = ::open(tail_path.c_str(), O_RDWR | O_CLOEXEC);
-    if (fd_ < 0) io_fail(tail_path, "open", "open failed");
+    if (fd_ < 0) file_io::fail(tail_path, "open", "open failed");
     try {
       if (keep_cut_segment) {
         // Cut the torn/corrupt tail of the last kept segment back to
@@ -458,10 +280,12 @@ Journal::Journal(std::string base_path, JournalConfig config)
         const SegmentStat& cut = scan.segments[live - 1];
         truncated_tail_bytes_ += cut.file_bytes - cut.valid_bytes;
         if (::ftruncate(fd_, static_cast<off_t>(cut.valid_bytes)) != 0) {
-          io_fail(tail_path, "ftruncate", "truncate of torn tail failed");
+          file_io::fail(tail_path, "ftruncate",
+                        "truncate of torn tail failed");
         }
-        if (::fsync(fd_) != 0) io_fail(tail_path, "fsync", "fsync failed");
-        repaired = true;
+        if (::fsync(fd_) != 0) {
+          file_io::fail(tail_path, "fsync", "fsync failed");
+        }
       }
     } catch (...) {
       ::close(fd_);
@@ -474,12 +298,6 @@ Journal::Journal(std::string base_path, JournalConfig config)
   for (const LiveSegment& seg : segments_) total += seg.bytes;
   committed_bytes_.store(total, std::memory_order_relaxed);
   segment_count_.store(segments_.size(), std::memory_order_relaxed);
-
-  if (repaired || !scan.manifest_ok) {
-    std::vector<std::uint64_t> seqs;
-    for (const LiveSegment& seg : segments_) seqs.push_back(seg.seq);
-    write_manifest(path_, seqs);
-  }
 }
 
 Journal::~Journal() {
@@ -515,33 +333,13 @@ void Journal::roll_locked() {
   // active.
   MUSK_FAULT_HIT("segment.roll");
   const std::uint64_t next_seq = segments_.back().seq + 1;
-  const std::string next_path = segment_path(path_, next_seq);
-  const int nfd =
-      ::open(next_path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (nfd < 0) io_fail(next_path, "open", "open of new segment failed");
-  try {
-    write_all(nfd, next_path, kHeader, kHeaderBytes);
-    if (::fsync(nfd) != 0) io_fail(next_path, "fsync", "fsync failed");
-  } catch (...) {
-    ::close(nfd);
-    ::unlink(next_path.c_str());
-    throw;
-  }
-  fsync_parent_dir(path_);
+  const int nfd = create_segment(segment_path(path_, next_seq));
   ::close(fd_);
   fd_ = nfd;
   segments_.push_back(LiveSegment{next_seq, kHeaderBytes, records_.size()});
   segment_count_.store(segments_.size(), std::memory_order_relaxed);
   committed_bytes_.fetch_add(kHeaderBytes, std::memory_order_relaxed);
   MUSK_OBS_COUNT("svc.journal.segment_rolls_total", 1);
-  write_manifest_locked();
-}
-
-void Journal::write_manifest_locked() {
-  std::vector<std::uint64_t> seqs;
-  seqs.reserve(segments_.size());
-  for (const LiveSegment& seg : segments_) seqs.push_back(seg.seq);
-  write_manifest(path_, seqs);
 }
 
 std::size_t Journal::compact_below(std::uint64_t seq_bound) {
@@ -554,8 +352,8 @@ std::size_t Journal::compact_below(std::uint64_t seq_bound) {
     MUSK_FAULT_HIT("compact.unlink");
     const LiveSegment seg = segments_.front();
     const std::string seg_file = segment_path(path_, seg.seq);
-    if (::unlink(seg_file.c_str()) != 0 && errno != ENOENT) {
-      io_fail(seg_file, "unlink", "unlink of compacted segment failed");
+    if (!file_io::remove_file(seg_file)) {
+      file_io::fail(seg_file, "unlink", "unlink of compacted segment failed");
     }
     committed_bytes_.fetch_sub(seg.bytes, std::memory_order_relaxed);
     segments_.erase(segments_.begin());
@@ -570,7 +368,6 @@ std::size_t Journal::compact_below(std::uint64_t seq_bound) {
     // space is not a correctness property.
     MUSK_OBS_COUNT("svc.journal.segments_compacted_total",
                    static_cast<std::uint64_t>(removed));
-    write_manifest_locked();
   }
   return removed;
 }
@@ -643,13 +440,13 @@ void Journal::append(RecordType type, int epoch, std::uint64_t digest,
   const std::uint64_t seg_off = segments_.back().bytes;
   const std::string seg_file = segment_path(path_, segments_.back().seq);
   if (::lseek(fd_, static_cast<off_t>(seg_off), SEEK_SET) < 0) {
-    io_fail(seg_file, "lseek", "seek failed");
+    file_io::fail(seg_file, "lseek", "seek failed");
   }
   if (MUSK_FAULT_FAIL("disk.full")) {
     // Simulated ENOSPC mid-record: half the bytes land, then the disk
     // is full. The committed prefix must be restored — a partial record
     // surviving as "data" would be a silent torn write.
-    write_all(fd_, seg_file, bytes.data(), bytes.size() / 2);
+    file_io::write_all(fd_, seg_file, bytes.data(), bytes.size() / 2);
     if (::ftruncate(fd_, static_cast<off_t>(seg_off)) != 0) {
       poisoned_ = true;
       throw JournalError("journal " + path_ +
@@ -657,10 +454,10 @@ void Journal::append(RecordType type, int epoch, std::uint64_t digest,
     }
     ::fsync(fd_);
     errno = ENOSPC;
-    io_fail(seg_file, "write", "write failed");
+    file_io::fail(seg_file, "write", "write failed");
   }
   try {
-    write_all(fd_, seg_file, bytes.data(), bytes.size());
+    file_io::write_all(fd_, seg_file, bytes.data(), bytes.size());
   } catch (const JournalError&) {
     // Real short write (ENOSPC, EROFS, ...): scrub the partial record
     // so the committed prefix stays the durable truth, then surface

@@ -34,9 +34,8 @@
 //     times recovery itself is interrupted.
 //
 // On-disk layout (DESIGN.md §15): the journal at base path `P` is the
-// segment files `P.<seq>.wal` (6-digit zero-padded seq) plus an
-// advisory manifest `P.manifest`. Each segment starts with the 8-byte
-// header "MUSKJRN1", then records
+// segment files `P.<seq>.wal` (seq zero-padded to at least 6 digits).
+// Each segment starts with the 8-byte header "MUSKJRN1", then records
 //
 //   u32 magic 'MJRN' | u8 type | u32 epoch | u64 digest |
 //   u32 payload_len | payload | u64 fnv1a(type..payload)
@@ -45,15 +44,14 @@
 // explicitly before each snapshot (so a recovery tail always starts at
 // a BEGIN) and automatically once the active segment exceeds
 // JournalConfig::max_segment_bytes. compact_below(seq) unlinks whole
-// segments a durable snapshot has made redundant. The manifest lists
-// the live segment seqs; it is rewritten (tmp + fsync + rename) on
-// every roll/compact but the directory scan is the ground truth on
-// open — a crash between a roll and the manifest rewrite costs nothing.
+// segments a durable snapshot has made redundant.
 //
-// On open the journal scans the segment chain in seq order, keeps the
-// longest valid record prefix, and discards the torn/corrupt tail (the
-// rest of the damaged segment and every later segment — those can only
-// be crash artifacts, because append returns only after fsync).
+// On open the journal lists the segment files in its directory, scans
+// the chain in seq order, keeps the longest valid record prefix, and
+// discards the torn/corrupt tail (the rest of the damaged segment and
+// every later segment — those can only be crash artifacts, because
+// append returns only after fsync). A segment that cannot be read at
+// all is no crash artifact: open throws instead of discarding it.
 //
 // Scope: the journal records rebalancing settlements only. A recovered
 // network equals the crashed daemon's network exactly when rebalancing
@@ -68,6 +66,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -146,10 +145,8 @@ std::string encode_watermarks(const SeqWatermarks& watermarks);
 SeqWatermarks decode_watermarks(std::string_view payload);
 
 /// Path of segment `seq` of the journal at `base_path`
-/// (`<base>.<seq 6-digit>.wal`).
+/// (`<base>.<seq, at least 6 digits>.wal`).
 std::string segment_path(const std::string& base_path, std::uint64_t seq);
-/// Path of the advisory segment manifest (`<base>.manifest`).
-std::string manifest_path(const std::string& base_path);
 /// Segment seqs present on disk for `base_path`, ascending. Read-only.
 std::vector<std::uint64_t> list_segments(const std::string& base_path);
 
@@ -164,6 +161,9 @@ struct SegmentStat {
   std::size_t records = 0;
   bool header_ok = false;
   bool clean = false;  ///< header_ok and no torn/corrupt tail
+  /// Set when the file exists but cannot be read (EACCES, EIO, ELOOP,
+  /// ...): the failing op and errno. Journal's constructor throws it.
+  std::optional<JournalError> read_error;
 };
 
 /// Result of a read-only walk over the journal's on-disk state: what
@@ -174,12 +174,11 @@ struct JournalScan {
   /// The longest valid record prefix across the segment chain (records
   /// past the first damaged segment are crash artifacts and excluded).
   std::vector<JournalRecord> records;
-  bool clean = true;        ///< every segment clean, chain contiguous
-  bool manifest_ok = true;  ///< manifest present, intact, matches disk
-  std::string note;         ///< first problem found (diagnostic)
+  bool clean = true;  ///< every segment clean, chain contiguous
+  std::string note;   ///< first problem found (diagnostic)
 };
 
-/// Scans segments + manifest without opening anything for write. Never
+/// Scans the segments without opening anything for write. Never
 /// repairs; never throws on corruption (corruption is the *answer*).
 JournalScan scan_journal(const std::string& base_path);
 
@@ -194,7 +193,8 @@ class Journal {
  public:
   /// Opens (creating if absent) the journal at `base_path`, validates
   /// the segment chain, loads every intact record, and truncates or
-  /// unlinks any torn/corrupt tail.
+  /// unlinks any torn/corrupt tail. Throws JournalError, unlinking
+  /// nothing, when a segment file cannot be read.
   explicit Journal(std::string base_path)
       : Journal(std::move(base_path), JournalConfig{}) {}
   Journal(std::string base_path, JournalConfig config);
@@ -236,13 +236,13 @@ class Journal {
       MUSK_EXCLUDES(mutex_);
 
   /// Closes the active segment and opens a fresh one (header written
-  /// and fsync'd, manifest rewritten). Called at epoch boundaries only.
+  /// and fsync'd). Called at epoch boundaries only.
   void roll_segment() MUSK_EXCLUDES(mutex_);
 
   /// Unlinks every live segment with seq < `seq_bound` (never the
-  /// active one) and rewrites the manifest; returns how many segments
-  /// were removed. The caller guarantees a durable snapshot covers the
-  /// removed history (svc::SnapshotStore::oldest_retained_first_segment).
+  /// active one); returns how many segments were removed. The caller
+  /// guarantees a durable snapshot covers the removed history
+  /// (svc::SnapshotStore::oldest_retained_first_segment).
   std::size_t compact_below(std::uint64_t seq_bound) MUSK_EXCLUDES(mutex_);
 
   void append_begin(int epoch, std::uint64_t pre_digest)
@@ -280,7 +280,6 @@ class Journal {
   void append(RecordType type, int epoch, std::uint64_t digest,
               const std::string& payload) MUSK_EXCLUDES(mutex_);
   void roll_locked() MUSK_REQUIRES(mutex_);
-  void write_manifest_locked() MUSK_REQUIRES(mutex_);
 
   std::string path_;
   const JournalConfig config_;

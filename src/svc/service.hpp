@@ -67,7 +67,7 @@ struct ServiceConfig {
   /// Optional write-ahead journal (borrowed; must outlive the service).
   /// When set, every epoch is journaled BEGIN -> OUTCOME -> SETTLED with
   /// the OUTCOME fsync'd before settlement, so a crashed daemon recovers
-  /// via replay_journal. A journal append failure aborts the epoch
+  /// via svc::recover. A journal append failure aborts the epoch
   /// (locks released) and propagates — the service must not keep
   /// settling epochs it cannot make durable.
   Journal* journal = nullptr;

@@ -1,22 +1,24 @@
 #include "svc/snapshot.hpp"
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 
 #include "core/io.hpp"
 #include "obs/obs.hpp"
+#include "svc/file_io.hpp"
 #include "util/fault.hpp"
 
 namespace musketeer::svc {
 
 namespace {
+
+using file_io::fnv1a;
+using file_io::load_u64;
 
 constexpr char kSnapHeader[] = "MUSKSNP1";
 constexpr std::size_t kSnapHeaderBytes = 8;
@@ -26,62 +28,6 @@ constexpr std::size_t kChecksumBytes = 8;
 constexpr std::size_t kMinBodyBytes = 4 + 8 + 8 + 4 + 8 + 4 + 8;
 // Bytes per encoded channel in encode_network.
 constexpr std::size_t kChannelBytes = 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 1;
-
-std::uint64_t fnv1a(const char* data, std::size_t n) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t load_u64(const char* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-[[noreturn]] void io_fail(const std::string& path, const char* op,
-                          const char* what) {
-  const int saved = errno;
-  throw JournalError(
-      "snapshot " + path + ": " + what + ": " + std::strerror(saved), op,
-      saved);
-}
-
-void write_all(int fd, const std::string& path, const char* data,
-               std::size_t n) {
-  while (n > 0) {
-    const ssize_t wrote = ::write(fd, data, n);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      io_fail(path, "write", "write failed");
-    }
-    data += wrote;
-    n -= static_cast<std::size_t>(wrote);
-  }
-}
-
-std::string dir_of(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
-}
-
-std::string base_of(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-void fsync_parent_dir(const std::string& path) {
-  const int fd =
-      ::open(dir_of(path).c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
-}
 
 std::string encode_snapshot(const SnapshotData& data) {
   std::string out(kSnapHeader, kSnapHeaderBytes);
@@ -174,36 +120,11 @@ pcn::Network decode_network(std::string_view bytes) {
 }
 
 std::string snapshot_path(const std::string& base_path, std::uint64_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, ".snap.%06llu",
-                static_cast<unsigned long long>(seq));
-  return base_path + buf;
+  return file_io::numbered_path(base_path, ".snap.", seq, "");
 }
 
 std::vector<std::uint64_t> list_snapshots(const std::string& base_path) {
-  std::vector<std::uint64_t> seqs;
-  const std::string dir = dir_of(base_path);
-  const std::string prefix = base_of(base_path) + ".snap.";
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return seqs;
-  while (const dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name.size() != prefix.size() + 6) continue;
-    if (name.compare(0, prefix.size(), prefix) != 0) continue;
-    bool digits = true;
-    std::uint64_t seq = 0;
-    for (std::size_t i = prefix.size(); i < name.size(); ++i) {
-      if (name[i] < '0' || name[i] > '9') {
-        digits = false;
-        break;
-      }
-      seq = seq * 10 + static_cast<std::uint64_t>(name[i] - '0');
-    }
-    if (digits) seqs.push_back(seq);
-  }
-  ::closedir(d);
-  std::sort(seqs.begin(), seqs.end());
-  return seqs;
+  return file_io::list_numbered(base_path, ".snap.", "");
 }
 
 bool SnapshotStore::read_file(const std::string& file_path, SnapshotData* out,
@@ -213,22 +134,10 @@ bool SnapshotStore::read_file(const std::string& file_path, SnapshotData* out,
     return false;
   };
   std::string buf;
-  {
-    const int fd = ::open(file_path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) return fail("open failed: " + std::string(strerror(errno)));
-    char chunk[4096];
-    for (;;) {
-      const ssize_t got = ::read(fd, chunk, sizeof chunk);
-      if (got < 0) {
-        if (errno == EINTR) continue;
-        const std::string why = strerror(errno);
-        ::close(fd);
-        return fail("read failed: " + why);
-      }
-      if (got == 0) break;
-      buf.append(chunk, static_cast<std::size_t>(got));
-    }
-    ::close(fd);
+  try {
+    buf = file_io::read_file(file_path);
+  } catch (const JournalError& e) {
+    return fail(e.what());
   }
   if (buf.size() < kSnapHeaderBytes + kMinBodyBytes + kChecksumBytes) {
     return fail("truncated snapshot");
@@ -327,23 +236,23 @@ void SnapshotStore::write(const SnapshotData& data) {
     const int fd =
         ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
     if (fd >= 0) {
-      write_all(fd, tmp, bytes.data(), bytes.size() / 2);
+      file_io::write_all(fd, tmp, bytes.data(), bytes.size() / 2);
       ::close(fd);
     }
-    ::unlink(tmp.c_str());
+    file_io::remove_file(tmp);
     errno = ENOSPC;
-    io_fail(dest, "write", "write failed");
+    file_io::fail(dest, "write", "write failed");
   }
 
   const int fd =
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) io_fail(tmp, "open", "open failed");
+  if (fd < 0) file_io::fail(tmp, "open", "open failed");
   try {
-    write_all(fd, tmp, bytes.data(), bytes.size());
-    if (::fsync(fd) != 0) io_fail(tmp, "fsync", "fsync failed");
+    file_io::write_all(fd, tmp, bytes.data(), bytes.size());
+    if (::fsync(fd) != 0) file_io::fail(tmp, "fsync", "fsync failed");
   } catch (...) {
     ::close(fd);
-    ::unlink(tmp.c_str());
+    file_io::remove_file(tmp);
     throw;
   }
   ::close(fd);
@@ -351,11 +260,11 @@ void SnapshotStore::write(const SnapshotData& data) {
   MUSK_FAULT_HIT("snapshot.rename");
   if (::rename(tmp.c_str(), dest.c_str()) != 0) {
     const int saved = errno;
-    ::unlink(tmp.c_str());
+    file_io::remove_file(tmp);
     errno = saved;
-    io_fail(dest, "rename", "rename failed");
+    file_io::fail(dest, "rename", "rename failed");
   }
-  fsync_parent_dir(dest);
+  file_io::fsync_parent_dir(dest);
   if (mutated) {
     // Die before pruning anything: the corrupt snapshot is on disk and
     // the older, still-valid ones must survive for recovery to find.
@@ -374,8 +283,8 @@ void SnapshotStore::write(const SnapshotData& data) {
   // snapshot is durable, so losing the old ones costs only fallback
   // depth.
   while (entries_.size() > static_cast<std::size_t>(keep_)) {
-    if (::unlink(entries_.front().path.c_str()) != 0 && errno != ENOENT) {
-      io_fail(entries_.front().path, "unlink", "unlink failed");
+    if (!file_io::remove_file(entries_.front().path)) {
+      file_io::fail(entries_.front().path, "unlink", "unlink failed");
     }
     entries_.erase(entries_.begin());
   }

@@ -16,9 +16,9 @@
 //     tail is empty at capture time and every later record lands in
 //     segments >= first_segment).
 //
-// Files are `<journal base>.snap.<seq>` (6-digit seq, monotonically
-// increasing) and are published atomically: full write to
-// `<base>.snap.tmp` + fsync + rename + parent-dir fsync. A reader
+// Files are `<journal base>.snap.<seq>` (seq zero-padded to at least 6
+// digits, monotonically increasing) and are published atomically: full
+// write to `<base>.snap.tmp` + fsync + rename + parent-dir fsync. A reader
 // therefore never sees a partial snapshot — only the previous one or
 // the new one. Validation is end-to-end: the trailing FNV-1a checksum
 // guards the bytes, and the decoded network's state_digest() must equal
@@ -67,7 +67,7 @@ std::string encode_network(const pcn::Network& network);
 pcn::Network decode_network(std::string_view bytes);
 
 /// Path of snapshot `seq` for the journal at `base_path`
-/// (`<base>.snap.<seq 6-digit>`).
+/// (`<base>.snap.<seq, at least 6 digits>`).
 std::string snapshot_path(const std::string& base_path, std::uint64_t seq);
 /// Snapshot seqs present on disk for `base_path`, ascending. Read-only.
 std::vector<std::uint64_t> list_snapshots(const std::string& base_path);

@@ -1,7 +1,9 @@
 // Epoch journal: record round-trips, torn/corrupt-tail repair on open,
 // and replay_journal's recovery state machine (rollback, exactly-once
 // in-flight application, digest verification).
+#include <cerrno>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -18,6 +20,7 @@ namespace {
 
 using testutil::expect_networks_equal;
 using testutil::make_network;
+using testutil::read_bytes;
 using testutil::small_config;
 
 std::string temp_journal(const std::string& name) {
@@ -151,7 +154,6 @@ TEST(Journal, SegmentsRollAtEpochBoundariesAndSurviveReopen) {
   EXPECT_EQ(journal.truncated_tail_bytes(), 0u);
   const JournalScan scan = scan_journal(path);
   EXPECT_TRUE(scan.clean);
-  EXPECT_TRUE(scan.manifest_ok);
 }
 
 TEST(Journal, CompactBelowUnlinksCoveredSegments) {
@@ -195,36 +197,67 @@ TEST(Journal, CompactBelowUnlinksCoveredSegments) {
   EXPECT_EQ(reopened.current_segment(), 3u);
 }
 
-TEST(Journal, ManifestIsAdvisoryAndRebuiltOnOpen) {
-  const std::string path = temp_journal("manifest");
-  {
-    JournalConfig config;
-    config.max_segment_bytes = 1;
-    Journal journal(path, config);
-    journal.append_begin(0, 5);
-    journal.append_settled(0, 6);
-  }
-  EXPECT_TRUE(scan_journal(path).manifest_ok);
+TEST(Journal, ListingRoundTripsEverySegmentPath) {
+  const std::string path = temp_journal("listing");
+  const std::vector<std::uint64_t> seqs{0, 999999, 1000000, 123456789012};
+  for (const std::uint64_t seq : seqs) append_raw(segment_path(path, seq), "");
+  // More zero padding than segment_path writes: not a segment name.
+  const std::string padded = path + ".0000001.wal";
+  append_raw(padded, "");
+  EXPECT_EQ(list_segments(path), seqs);
+  std::remove(padded.c_str());
+}
 
-  // A corrupt manifest never hides data: the scan flags it, the
-  // directory walk still finds every segment, and the next open
-  // rewrites it.
-  flip_byte(manifest_path(path), 9);
+TEST(Journal, SegmentsPastSixDigitSeqsStayInTheChain) {
+  const std::string path = temp_journal("sevendigits");
   {
-    const JournalScan scan = scan_journal(path);
-    EXPECT_FALSE(scan.manifest_ok);
-    EXPECT_TRUE(scan.clean);
-    EXPECT_EQ(scan.records.size(), 2u);
     Journal journal(path);
-    EXPECT_EQ(journal.records().size(), 2u);
+    journal.append_begin(0, 1);
+    journal.append_settled(0, 2);
+    journal.roll_segment();
+    journal.append_begin(1, 2);
+    journal.append_settled(1, 3);
   }
-  EXPECT_TRUE(scan_journal(path).manifest_ok);
+  // The same chain once its seqs have outgrown the 6-digit padding.
+  std::filesystem::rename(segment_path(path, 0), segment_path(path, 999999));
+  std::filesystem::rename(segment_path(path, 1), segment_path(path, 1000000));
+  const std::string tail = read_bytes(segment_path(path, 1000000));
 
-  // Same story for a missing manifest.
-  std::remove(manifest_path(path).c_str());
-  EXPECT_FALSE(scan_journal(path).manifest_ok);
   Journal journal(path);
-  EXPECT_TRUE(scan_journal(path).manifest_ok);
+  EXPECT_EQ(journal.records().size(), 4u);
+  EXPECT_EQ(journal.current_segment(), 1000000u);
+  journal.roll_segment();
+  EXPECT_EQ(journal.current_segment(), 1000001u);
+  EXPECT_EQ(read_bytes(segment_path(path, 1000000)), tail);
+}
+
+TEST(Journal, UnreadableSegmentThrowsAndUnlinksNothing) {
+  const std::string path = temp_journal("unreadable");
+  {
+    Journal journal(path);
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      if (epoch > 0) journal.roll_segment();
+      journal.append_begin(epoch, 10 + epoch);
+      journal.append_settled(epoch, 11 + epoch);
+    }
+  }
+  const std::string first = read_bytes(segment_path(path, 0));
+  const std::string last = read_bytes(segment_path(path, 2));
+  // A self-referencing symlink fails to open with ELOOP, the way a wrong
+  // file owner fails with EACCES and a failing disk with EIO. No crash
+  // leaves such a file, so open must refuse rather than discard.
+  const std::string middle = segment_path(path, 1);
+  std::filesystem::remove(middle);
+  std::filesystem::create_symlink(middle, middle);
+  try {
+    Journal journal(path);
+    ADD_FAILURE() << "opened a journal with an unreadable segment";
+  } catch (const JournalError& e) {
+    EXPECT_EQ(e.op(), "open");
+    EXPECT_EQ(e.saved_errno(), ELOOP);
+  }
+  EXPECT_EQ(read_bytes(segment_path(path, 0)), first);
+  EXPECT_EQ(read_bytes(segment_path(path, 2)), last);
 }
 
 TEST(Journal, WatermarksCommitAtOutcomeSettleAndDropAtAbort) {

@@ -14,7 +14,6 @@
 //     reproducing the exact final state.
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -31,14 +30,8 @@ namespace musketeer::svc {
 namespace {
 
 using testutil::make_network;
+using testutil::read_bytes;
 using testutil::small_config;
-
-std::string read_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
 
 void write_bytes(const std::string& path, const std::string& bytes,
                  std::size_t len) {

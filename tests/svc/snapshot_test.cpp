@@ -3,6 +3,7 @@
 // and checkpoint-aware recovery precedence — newest valid snapshot,
 // older snapshot on corruption, genesis only while segment 0 survives.
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -108,6 +109,15 @@ TEST(Snapshot, WriteReadBackAndPruneToKeep) {
   SnapshotStore rescanned(base);
   ASSERT_EQ(rescanned.entries().size(), 2u);
   EXPECT_TRUE(rescanned.entries()[1].valid);
+}
+
+TEST(Snapshot, ListingRoundTripsEverySnapshotPath) {
+  const std::string base = temp_base("listing");
+  const std::vector<std::uint64_t> seqs{0, 999999, 1000000, 123456789012};
+  for (const std::uint64_t seq : seqs) {
+    std::ofstream touch(snapshot_path(base, seq));
+  }
+  EXPECT_EQ(list_snapshots(base), seqs);
 }
 
 TEST(Snapshot, CorruptOrTruncatedSnapshotIsInvalidAndPinsSegmentZero) {
@@ -234,6 +244,30 @@ TEST(Snapshot, RecoverPrefersNewestSnapshotThenOlderThenRefuses) {
     EXPECT_THROW(recover(journal, snapshots, net, config.policy),
                  JournalError);
   }
+}
+
+TEST(Snapshot, UnreadableNewestSnapshotFallsBackToOlder) {
+  const sim::SimulationConfig config = small_config(5);
+  const std::string base = temp_base("unreadable");
+  const std::uint64_t live_digest = run_checkpointed(base, 7, 3, config);
+  const std::vector<std::uint64_t> seqs = list_snapshots(base);
+  ASSERT_EQ(seqs.size(), 2u);
+  // A self-referencing symlink fails to open with ELOOP: the snapshot is
+  // invalid, and recovery replays the longer tail from the older one.
+  const std::string newest = snapshot_path(base, seqs.back());
+  std::filesystem::remove(newest);
+  std::filesystem::create_symlink(newest, newest);
+
+  Journal journal(base);
+  SnapshotStore snapshots(base);
+  ASSERT_EQ(snapshots.entries().size(), 2u);
+  EXPECT_FALSE(snapshots.entries().back().valid);
+  pcn::Network net = make_network(config);
+  const RecoveryReport rec = recover(journal, snapshots, net, config.policy);
+  EXPECT_TRUE(rec.from_snapshot);
+  EXPECT_EQ(rec.snapshot_epoch, 3);
+  EXPECT_EQ(rec.snapshots_discarded, 1);
+  EXPECT_EQ(net.state_digest(), live_digest);
 }
 
 TEST(Snapshot, RecoverFallsBackToGenesisReplayWithoutSnapshots) {

@@ -2,6 +2,8 @@
 #pragma once
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -15,7 +17,7 @@
 namespace musketeer::svc::testutil {
 
 /// Removes every on-disk artifact a journal base can own — rotated
-/// segments, manifest, snapshots, stray tmp files — so a test starts
+/// segments, snapshots, stray tmp files — so a test starts
 /// from a genuinely fresh journal (std::remove on the bare base stopped
 /// being enough when the journal became segmented).
 inline void remove_journal_files(const std::string& base) {
@@ -25,10 +27,16 @@ inline void remove_journal_files(const std::string& base) {
   for (const std::uint64_t seq : list_snapshots(base)) {
     std::remove(snapshot_path(base, seq).c_str());
   }
-  std::remove(manifest_path(base).c_str());
   std::remove((base + ".snap.tmp").c_str());
-  std::remove((manifest_path(base) + ".tmp").c_str());
   std::remove(base.c_str());
+}
+
+/// The whole file (empty, and a test failure, when it cannot be read).
+inline std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 /// Channel-by-channel exact equality, the bar the ISSUE's end-to-end

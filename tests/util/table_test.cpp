@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "util/csv.hpp"
-
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 
 namespace musketeer::util {
 namespace {
@@ -39,23 +35,6 @@ TEST(TableTest, PrintAligns) {
   std::fclose(tmp);
   EXPECT_NE(all.find("long-name"), std::string::npos);
   EXPECT_NE(all.find("name"), std::string::npos);
-}
-
-TEST(CsvWriterTest, WritesRowsToDisk) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "musketeer_csv_test.csv")
-          .string();
-  {
-    CsvWriter csv(path, {"x", "y"});
-    csv.row({"1", "2"});
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "x,y");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,2");
-  std::filesystem::remove(path);
 }
 
 }  // namespace

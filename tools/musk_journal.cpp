@@ -1,20 +1,18 @@
 // musk_journal — offline inspection, verification, and compaction of a
-// musketeerd journal (rotated segments + manifest + snapshots), reusing
-// the daemon's own readers so the tool and the daemon can never
-// disagree about what is valid.
+// musketeerd journal (rotated segments + snapshots), reusing the
+// daemon's own readers so the tool and the daemon can never disagree
+// about what is valid.
 //
 //   musk_journal inspect <journal-base>   show segments, snapshots,
-//                                         record totals, manifest state
+//                                         record totals
 //   musk_journal verify  <journal-base>   exit 2 on any corruption
 //   musk_journal compact <journal-base>   offline compaction: unlink
 //                                         every segment the newest valid
 //                                         snapshot makes redundant
 //
-// `verify` is strict about data (a torn segment tail, a corrupt record,
-// a segment-chain gap, or an invalid snapshot file is corruption, exit
-// 2) but lenient about the manifest: the manifest is advisory (the
-// directory scan is ground truth; the daemon rewrites a stale one on
-// open), so a mismatch is only warned about.
+// `verify` treats a torn segment tail, a corrupt record, an unreadable
+// segment, a segment-chain gap, or an invalid snapshot file as
+// corruption (exit 2).
 //
 // `compact` opens the journal read-write exactly like the daemon does —
 // repairing any torn tail first — then applies the same compaction
@@ -91,9 +89,10 @@ int cmd_inspect(const std::string& base) {
                       std::to_string(seg.file_bytes),
                       std::to_string(seg.valid_bytes),
                       std::to_string(seg.records),
-                      seg.clean ? "clean"
-                                : (seg.header_ok ? "torn tail"
-                                                 : "bad header")});
+                      seg.read_error  ? "unreadable"
+                      : seg.clean     ? "clean"
+                      : seg.header_ok ? "torn tail"
+                                      : "bad header"});
   }
   segments.print();
 
@@ -108,9 +107,7 @@ int cmd_inspect(const std::string& base) {
     std::printf(", %zu %s", per_type[t],
                 type_name(static_cast<svc::RecordType>(t)));
   }
-  std::printf("\nmanifest: %s\nchain: %s%s%s\n",
-              scan.manifest_ok ? "ok" : "stale/missing (advisory)",
-              scan.clean ? "clean" : "DAMAGED",
+  std::printf("\nchain: %s%s%s\n", scan.clean ? "clean" : "DAMAGED",
               scan.note.empty() ? "" : " — ", scan.note.c_str());
 
   if (snaps.empty()) {
@@ -151,13 +148,6 @@ int cmd_verify(const std::string& base) {
                    snap.path.c_str(), snap.error.c_str());
       corrupt = true;
     }
-  }
-  if (!scan.manifest_ok) {
-    // Advisory only: the daemon rebuilds it from the directory scan.
-    std::fprintf(stderr,
-                 "musk_journal: warning: %s: manifest stale or missing "
-                 "(advisory; rebuilt on next open)\n",
-                 base.c_str());
   }
   if (corrupt) return 2;
   std::printf("musk_journal: %s: ok — %zu segment(s), %zu record(s), "

@@ -71,10 +71,11 @@ wait interruptible and every thread joined):
                  by polling its util::CancelToken via MUSK_CANCEL_POINT;
                  arming deadlines is the service layer's job.
   unchecked-rename
-                 No raw `rename(` / `unlink(` outside src/svc/journal.* and
-                 src/svc/snapshot.* -- those two files own the
-                 tmp-write/fsync/rename/dir-fsync publication protocol and
-                 check every return code (DESIGN.md section 15). A bare
+                 No raw `rename(` / `unlink(` outside src/svc/file_io.cpp
+                 and src/svc/snapshot.cpp -- the file layer owns the
+                 checked unlink and snapshot.cpp the tmp-write/fsync/
+                 rename/dir-fsync publication protocol, and both check
+                 every return code (DESIGN.md section 15). A bare
                  rename or unlink elsewhere either skips durability (the
                  rename "succeeds" but vanishes on power loss) or silently
                  ignores failure, and bypasses the crash-recovery
@@ -174,11 +175,11 @@ SOLVER_TIMING = re.compile(
 # A raw POSIX rename/unlink call (optionally ::/std:: qualified). Member
 # spellings (`x.rename(`) and foreign qualifiers (`fs::rename(`) do not
 # match; std::remove / std::filesystem::remove stay allowed for scratch
-# cleanup. The durable-publication protocol lives in journal/snapshot.
+# cleanup. The durable-publication protocol lives in snapshot.cpp.
 UNCHECKED_RENAME = re.compile(
     r"(?<![A-Za-z0-9_.:])(?:std::|::)?(?:rename|unlink)\s*\(")
-# The two files that own checked rename/unlink (and the corpus mirrors).
-RENAME_OWNERS = re.compile(r"^src/svc/(?:journal|snapshot)\.(?:cpp|hpp)$")
+# Exactly the files that call raw rename/unlink (and the corpus mirrors).
+RENAME_OWNERS = re.compile(r"^src/svc/(?:file_io|snapshot)\.cpp$")
 # Any raw standard-library mutex or condition variable type. OrderedMutex
 # wraps these inside src/util/, which is exempt via the path predicate.
 UNRANKED_MUTEX = re.compile(
