@@ -33,11 +33,11 @@ namespace musketeer::svc {
 class AdmissionController {
  public:
   /// `deadline_seconds` <= 0 disables the controller. `alpha` is the
-  /// EWMA smoothing factor (weight of the newest epoch).
+  /// EWMA smoothing factor (weight of the newest epoch), in (0, 1].
   AdmissionController(double alpha, double deadline_seconds)
       : alpha_(alpha), deadline_(deadline_seconds) {}
 
-  bool enabled() const { return deadline_ > 0.0 && alpha_ > 0.0; }
+  bool enabled() const { return deadline_ > 0.0; }
 
   /// Folds one finished epoch's clear time into the EWMA and updates
   /// the shed level. Called from the clearing thread only (the EWMA

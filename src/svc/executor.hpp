@@ -70,7 +70,7 @@ class ParallelExecutor final : public flow::Executor {
 
   /// Propagates the epoch's cancel token to the claim loops (atomic;
   /// callable between run()s from the epoch thread, and read by workers
-  /// mid-batch). The watchdog fires the token itself, not this.
+  /// mid-batch). Only the token's own poll() fires it.
   void set_cancel(util::CancelToken* token) override {
     cancel_.store(token, std::memory_order_relaxed);
   }

@@ -360,6 +360,11 @@ std::size_t Journal::compact_below(std::uint64_t seq_bound) {
     ++removed;
   }
   if (removed > 0) {
+    // The live segments' records start at the new front segment's.
+    const std::size_t dropped = segments_.front().first_record;
+    records_.erase(records_.begin(),
+                   records_.begin() + static_cast<std::ptrdiff_t>(dropped));
+    for (LiveSegment& seg : segments_) seg.first_record -= dropped;
     segment_count_.store(segments_.size(), std::memory_order_relaxed);
     // No directory fsync for the unlinks: if a crash resurrects a
     // compacted segment, the chain just regrows a contiguous prefix

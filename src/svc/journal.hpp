@@ -128,8 +128,7 @@ struct JournalRecord {
   /// the epoch (empty when no sequenced bids were drained).
   /// OUTCOME: codec::encode_outcome bytes. DEGRADED: u8 ladder level
   /// (1 = first retry rung) followed by the reason string — the
-  /// mechanism name the retry is about to run with, or the literal
-  /// "watchdog" prefix when the watchdog forced the cancellation.
+  /// mechanism name the retry is about to run with.
   std::string payload;
 };
 
@@ -205,9 +204,11 @@ class Journal {
 
   const std::string& path() const { return path_; }
 
-  /// Every committed record: what open() recovered plus every append
-  /// since, in stream order. Compaction removes files, not this
-  /// in-memory view (indices stay stable for records_from_segment).
+  /// The committed records of the live segments, in stream order: what
+  /// open() recovered plus every append since. compact_below() drops
+  /// the records of the segments it unlinks, so a checkpointing
+  /// daemon's memory stays bounded by its journal tail; indices (and
+  /// records_from_segment) are valid until the next compaction.
   const std::vector<JournalRecord>& records() const { return records_; }
 
   /// Bytes of committed (written + fsync'd) journal across all *live*
@@ -240,8 +241,9 @@ class Journal {
   void roll_segment() MUSK_EXCLUDES(mutex_);
 
   /// Unlinks every live segment with seq < `seq_bound` (never the
-  /// active one); returns how many segments were removed. The caller
-  /// guarantees a durable snapshot covers the removed history
+  /// active one) and drops its records from records(); returns how many
+  /// segments were removed. The caller guarantees a durable snapshot
+  /// covers the removed history
   /// (svc::SnapshotStore::oldest_retained_first_segment).
   std::size_t compact_below(std::uint64_t seq_bound) MUSK_EXCLUDES(mutex_);
 

@@ -212,7 +212,6 @@ void SocketServer::handle_frame(Connection* conn, const Frame& frame) {
       msg.ewma_clear_seconds = stats.ewma_clear_seconds;
       msg.deadline_exceeded = stats.deadline_exceeded;
       msg.degraded_epochs = stats.degraded_epochs;
-      msg.watchdog_fired = stats.watchdog_fired;
       msg.aborted_epochs = stats.aborted_epochs;
       msg.snapshot_age_seconds = stats.snapshot_age_seconds;
       msg.epochs_since_snapshot = stats.epochs_since_snapshot;

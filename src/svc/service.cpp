@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "core/mechanism_factory.hpp"
@@ -18,6 +19,10 @@
 namespace musketeer::svc {
 
 namespace {
+
+/// EWMA smoothing factor of the admission controller: the weight of the
+/// newest epoch's clear time.
+constexpr double kAdmissionAlpha = 0.2;
 
 /// Overwrites the truthful bids with the drained submissions: a player's
 /// tail override applies to every edge it is tail of, head override to
@@ -69,7 +74,7 @@ RebalanceService::RebalanceService(pcn::Network& network,
     : mechanism_(mechanism),
       config_(config),
       queue_(config.queue_capacity, network.num_nodes()),
-      admission_(config.admission_alpha,
+      admission_(kAdmissionAlpha,
                  config.epoch_deadline.count() > 0
                      ? std::chrono::duration<double>(config.epoch_deadline)
                            .count()
@@ -80,13 +85,16 @@ RebalanceService::RebalanceService(pcn::Network& network,
   // With concurrency 1 the executor runs the component tasks inline on
   // the clearing thread.
   solve_context_.set_executor(&executor_);
-  // The ladder only matters once a deadline or watchdog can cancel an
-  // attempt, but it is built unconditionally so a bad name fails at
-  // construction, not during the first overload.
+  // The ladder only matters once a deadline can cancel an attempt, but
+  // it is built unconditionally so a bad name fails at construction,
+  // not during the first overload.
   for (const std::string& name : config_.degradation_ladder) {
     std::unique_ptr<core::Mechanism> rung =
         core::make_mechanism(name, core::MechanismOptions{});
-    MUSK_ASSERT_MSG(rung != nullptr, "unknown degradation-ladder mechanism");
+    if (rung == nullptr) {
+      throw std::invalid_argument("unknown degradation-ladder mechanism '" +
+                                  name + "'");
+    }
     ladder_.push_back(std::move(rung));
   }
   // Recovered state: duplicate detection and the committed-watermark
@@ -96,10 +104,6 @@ RebalanceService::RebalanceService(pcn::Network& network,
   admission_.seed(config_.initial_ewma_seconds);
   for (const auto& [player, seq] : config_.initial_watermarks) {
     if (seq != 0) applied_watermarks_[player] = seq;
-  }
-  if (config_.watchdog_timeout.count() > 0) {
-    watchdog_ = std::jthread(
-        [this](const std::stop_token& stop) { watchdog_loop(stop); });
   }
 }
 
@@ -413,21 +417,10 @@ bool RebalanceService::run_attempt(const core::Mechanism& mechanism,
                                    std::uint64_t trace_id,
                                    EpochReport& report,
                                    core::Outcome& outcome) {
-  const bool deadline_enabled = config_.epoch_deadline.count() > 0;
-  const bool watchdog_enabled = watchdog_.joinable();
-  const bool cancellable = deadline_enabled || watchdog_enabled;
+  const bool cancellable = config_.epoch_deadline.count() > 0;
   if (cancellable) {
-    watchdog_fired_attempt_.store(false, std::memory_order_relaxed);
-    cancel_token_.arm(deadline_enabled
-                          ? util::Deadline::after(config_.epoch_deadline)
-                          : util::Deadline::never());
+    cancel_token_.arm(util::Deadline::after(config_.epoch_deadline));
     solve_context_.set_cancel(&cancel_token_);
-    if (watchdog_enabled) {
-      watchdog_deadline_at_.store(
-          uptime_timer_.seconds() +
-              std::chrono::duration<double>(config_.watchdog_timeout).count(),
-          std::memory_order_relaxed);
-    }
     // Chaos hook: a delay here burns the attempt's entire deadline
     // budget, so `deadline.expire@N=delay:...` deterministically expires
     // attempt N without load (the token is armed already).
@@ -439,55 +432,16 @@ bool RebalanceService::run_attempt(const core::Mechanism& mechanism,
     outcome = mechanism.run(solve_context_, game, bids);
     report.solve_seconds += solve_span.end();
   } catch (const util::SolveCancelled&) {
-    watchdog_deadline_at_.store(0.0, std::memory_order_relaxed);
     solve_context_.set_cancel(nullptr);
     deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
     MUSK_OBS_COUNT("svc.epoch.deadline_exceeded_total", 1);
-    if (watchdog_fired_attempt_.load(std::memory_order_relaxed)) {
-      // The watchdog, not the attempt's own deadline, broke this
-      // attempt; the fault point lets chaos runs crash or delay at the
-      // exact moment the intervention takes effect.
-      MUSK_FAULT_HIT("watchdog.fire");
-      report.watchdog_fired = true;
-    }
     return false;
   } catch (...) {
-    watchdog_deadline_at_.store(0.0, std::memory_order_relaxed);
     solve_context_.set_cancel(nullptr);
     throw;
   }
-  if (cancellable) {
-    watchdog_deadline_at_.store(0.0, std::memory_order_relaxed);
-    solve_context_.set_cancel(nullptr);
-  }
+  if (cancellable) solve_context_.set_cancel(nullptr);
   return true;
-}
-
-void RebalanceService::watchdog_loop(const std::stop_token& stop) {
-  // Poll cadence: fine enough to fire promptly at short test timeouts,
-  // bounded (repo rule: every wait re-checks on a cadence) so teardown
-  // never stalls on this thread.
-  const auto period = std::chrono::milliseconds(
-      std::clamp<long long>(config_.watchdog_timeout.count() / 4, 1, 100));
-  util::OrderedUniqueLock lock(watchdog_mutex_);
-  while (!stop.stop_requested()) {
-    watchdog_cv_.wait_for(lock, stop, period, [] { return false; });
-    if (stop.stop_requested()) break;
-    double at = watchdog_deadline_at_.load(std::memory_order_relaxed);
-    if (at <= 0.0 || uptime_timer_.seconds() < at) continue;
-    // CAS-claim the firing: a clearing thread disarming concurrently
-    // wins and the watchdog stands down (its stale cancel would only
-    // be cleared by the next arm() anyway, but the counter must not
-    // report interventions that never happened).
-    if (!watchdog_deadline_at_.compare_exchange_strong(
-            at, 0.0, std::memory_order_relaxed)) {
-      continue;
-    }
-    watchdog_fired_attempt_.store(true, std::memory_order_relaxed);
-    watchdog_fired_total_.fetch_add(1, std::memory_order_relaxed);
-    MUSK_OBS_COUNT("svc.epoch.watchdog_fired_total", 1);
-    cancel_token_.cancel();
-  }
 }
 
 void RebalanceService::start() {
@@ -502,11 +456,6 @@ void RebalanceService::stop() {
     scheduler_.request_stop();
     scheduler_cv_.notify_all();
     scheduler_.join();
-  }
-  if (watchdog_.joinable()) {
-    watchdog_.request_stop();
-    watchdog_cv_.notify_all();
-    watchdog_.join();
   }
 }
 
@@ -553,7 +502,6 @@ ServiceStats RebalanceService::stats_snapshot() const {
   stats.ewma_clear_seconds = admission_.ewma_seconds();
   stats.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
   stats.degraded_epochs = degraded_total_.load(std::memory_order_relaxed);
-  stats.watchdog_fired = watchdog_fired_total_.load(std::memory_order_relaxed);
   stats.aborted_epochs = aborted_epochs_.load(std::memory_order_relaxed);
   stats.snapshots_taken = snapshots_taken_.load(std::memory_order_relaxed);
   stats.epochs_since_snapshot =

@@ -87,22 +87,18 @@ struct ServiceConfig {
   /// layer) and the epoch retries down `degradation_ladder`; once the
   /// ladder is exhausted the epoch is journaled ABORTED, its locks are
   /// released, and its number is reused — run_epoch returns a report
-  /// flagged `aborted` instead of throwing. See DESIGN.md §14.
+  /// flagged `aborted` instead of throwing. A deadline also turns on
+  /// admission control: intake sheds bids as the EWMA of recent clear
+  /// times nears it. See DESIGN.md §14.
   std::chrono::milliseconds epoch_deadline{0};
   /// Mechanism names (core::make_mechanism spelling) tried in order
-  /// after the primary mechanism times out, cheapest last. Each rung is
-  /// journaled as a DEGRADED record so replay reproduces the degraded
-  /// outcome bit for bit. Unknown names throw at construction.
-  std::vector<std::string> degradation_ladder{"m2-minfee", "m1"};
-  /// Watchdog force-cancel timeout (0 = no watchdog thread). A daemon
-  /// backstop for an attempt that fails to observe its own deadline:
-  /// once an attempt has run this long, the watchdog thread fires the
-  /// cancel token from outside. Set it comfortably above epoch_deadline.
-  std::chrono::milliseconds watchdog_timeout{0};
-  /// EWMA smoothing factor for the overload admission controller
-  /// (weight of the newest epoch; 0 disables admission control). The
-  /// controller is active only when epoch_deadline is set.
-  double admission_alpha = 0.2;
+  /// after the primary mechanism times out, each under a fresh
+  /// deadline. Each rung is journaled as a DEGRADED record so replay
+  /// reproduces the degraded outcome bit for bit. The default is M1
+  /// alone: one solve and no bids (m2-minfee first runs all of M2, one
+  /// solve plus one per buyer, so it rarely fits where the primary did
+  /// not). Unknown names throw std::invalid_argument at construction.
+  std::vector<std::string> degradation_ladder{"m1"};
   /// Checkpointing (DESIGN.md §15): after every `snapshot_every`
   /// settled epochs the service rolls the journal to a fresh segment,
   /// writes a snapshot of the full recovery state, and compacts away
@@ -165,7 +161,6 @@ struct ServiceStats {
   double ewma_clear_seconds = 0.0;
   std::uint64_t deadline_exceeded = 0;
   std::uint64_t degraded_epochs = 0;
-  std::uint64_t watchdog_fired = 0;
   std::uint64_t aborted_epochs = 0;
   IntakeCounters intake;
   /// v6 checkpoint health: seconds since the last successful snapshot
@@ -219,9 +214,6 @@ struct EpochReport {
   /// ABORTED, its locks released, and its number will be reused by the
   /// next clear. The report carries no outcome fields.
   bool aborted = false;
-  /// True when the watchdog (not the cooperative deadline) forced at
-  /// least one of this epoch's attempts to cancel.
-  bool watchdog_fired = false;
   /// True when this epoch's settlement was followed by a successful
   /// checkpoint (segment roll + snapshot + compaction).
   bool checkpointed = false;
@@ -301,19 +293,10 @@ class RebalanceService {
   void scheduler_loop(const std::stop_token& stop)
       MUSK_EXCLUDES(scheduler_mutex_, clear_mutex_);
 
-  /// Watchdog thread body: parks on watchdog_cv_ (rank kWatchdog, below
-  /// every service lock) and force-fires the cancel token when an
-  /// attempt outlives watchdog_timeout. It communicates with the
-  /// clearing thread exclusively through atomics — it never takes a
-  /// lock above kWatchdog, so it can never participate in a clearing
-  /// deadlock (the condition it exists to break).
-  void watchdog_loop(const std::stop_token& stop)
-      MUSK_EXCLUDES(watchdog_mutex_);
-
   /// One mechanism attempt under the armed token; returns false when
-  /// the attempt was cancelled (deadline or watchdog), true when
-  /// `outcome` holds the cleared result. Any other exception
-  /// propagates to run_epoch's abort path unchanged.
+  /// the attempt's deadline cancelled it, true when `outcome` holds the
+  /// cleared result. Any other exception propagates to run_epoch's
+  /// abort path unchanged.
   bool run_attempt(const core::Mechanism& mechanism, const core::Game& game,
                    const core::BidVector& bids, std::uint64_t trace_id,
                    EpochReport& report, core::Outcome& outcome)
@@ -394,26 +377,14 @@ class RebalanceService {
   std::jthread scheduler_;
   std::atomic<bool> started_{false};
 
-  /// Epoch cancellation: armed per attempt by the clearing thread;
-  /// fired by the attempt's own deadline (via poll) or by the watchdog
-  /// from outside. Only the flag inside is shared — see CancelToken.
+  /// Epoch cancellation: armed per attempt by the clearing thread and
+  /// fired by the attempt's own deadline when a solver polls it. Only
+  /// the flag inside is shared with component tasks — see CancelToken.
   util::CancelToken cancel_token_;
-  /// Uptime-seconds (uptime_timer_ clock) at which the watchdog fires;
-  /// 0 = no attempt in flight. Written by the clearing thread at
-  /// attempt start/end, CAS-claimed by the watchdog when it fires.
-  std::atomic<double> watchdog_deadline_at_{0.0};
-  /// Set by the watchdog when it force-cancelled the current attempt,
-  /// cleared by the clearing thread at the next attempt start.
-  std::atomic<bool> watchdog_fired_attempt_{false};
   /// Degradation counters, mirrored into ServiceStats lock-free.
   std::atomic<std::uint64_t> deadline_exceeded_{0};
   std::atomic<std::uint64_t> degraded_total_{0};
-  std::atomic<std::uint64_t> watchdog_fired_total_{0};
   std::atomic<std::uint64_t> aborted_epochs_{0};
-  util::OrderedMutex watchdog_mutex_{util::LockRank::kWatchdog,
-                                     "svc.watchdog"};
-  util::OrderedCondVar watchdog_cv_;
-  std::jthread watchdog_;
 
   /// Service start time (uptime for the stats endpoint).
   const obs::Timer uptime_timer_;

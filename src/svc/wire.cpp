@@ -234,7 +234,6 @@ std::string encode_stats_response(const StatsResponseMsg& msg) {
   put_f64(out, msg.ewma_clear_seconds);
   put_u64(out, msg.deadline_exceeded);
   put_u64(out, msg.degraded_epochs);
-  put_u64(out, msg.watchdog_fired);
   put_u64(out, msg.aborted_epochs);
   put_f64(out, msg.snapshot_age_seconds);
   put_u64(out, msg.epochs_since_snapshot);
@@ -270,7 +269,6 @@ StatsResponseMsg decode_stats_response(std::string_view payload) {
   msg.ewma_clear_seconds = in.f64();
   msg.deadline_exceeded = in.u64();
   msg.degraded_epochs = in.u64();
-  msg.watchdog_fired = in.u64();
   msg.aborted_epochs = in.u64();
   msg.snapshot_age_seconds = in.f64();
   msg.epochs_since_snapshot = in.u64();
@@ -293,10 +291,10 @@ StatsResponseMsg decode_stats_response(std::string_view payload) {
   }
   const std::size_t n = in.check_count(in.u32(), 1);
   // Fixed-size prefix: 5 u32s (epoch, 3 v4 solve fields, v5 shed level)
-  // + 5 doubles (uptime, gini, mean, v5 EWMA, v6 snapshot age) + 18 u64s
-  // (4 queue/journal, 4 v5 degradation counters, 3 v6 checkpoint
-  // counters, 7 intake) + the u32 length.
-  constexpr std::size_t kPrefix = 4 * 5 + 8 * 5 + 8 * 18 + 4;
+  // + 5 doubles (uptime, gini, mean, v5 EWMA, v6 snapshot age) + 17 u64s
+  // (4 queue/journal, 3 degradation counters, 3 v6 checkpoint counters,
+  // 7 intake) + the u32 length.
+  constexpr std::size_t kPrefix = 4 * 5 + 8 * 5 + 8 * 17 + 4;
   msg.registry_json = std::string(payload.substr(kPrefix, n));
   // The JSON bytes were consumed via substr, not the reader.
   if (payload.size() != kPrefix + n) {

@@ -43,8 +43,10 @@
 // counters, shed-intake counter) to kStatsResponse and the
 // kRejectedOverload intake status. v6 adds the checkpoint-health fields
 // (snapshot age, epochs since snapshot, snapshots taken, journal
-// segment count) to kStatsResponse. Versions are not cross-compatible;
-// both sides reject mismatched versions at the frame header.
+// segment count) to kStatsResponse. v7 drops the force-cancel counter
+// from kStatsResponse's degradation counters. Versions are not
+// cross-compatible; both sides reject mismatched versions at the frame
+// header.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +60,7 @@
 namespace musketeer::svc {
 
 inline constexpr std::uint32_t kWireMagic = 0x4B53554D;  // "MUSK"
-inline constexpr std::uint16_t kWireVersion = 6;
+inline constexpr std::uint16_t kWireVersion = 7;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 inline constexpr std::size_t kMaxFramePayload = 1u << 20;  // 1 MiB
 
@@ -195,7 +197,6 @@ struct StatsResponseMsg {
   double ewma_clear_seconds = 0.0;
   std::uint64_t deadline_exceeded = 0;
   std::uint64_t degraded_epochs = 0;
-  std::uint64_t watchdog_fired = 0;
   std::uint64_t aborted_epochs = 0;
   /// v6 checkpoint health: seconds since the last snapshot (-1 when no
   /// snapshot has been taken this run), settled epochs since it, total

@@ -9,11 +9,12 @@
 // O(m) residual network, so the check is noise (bench/deadline_overhead
 // gates it at < 1.03x solver ns/op).
 //
-// Firing is one-way and lock-free: cancel() may be called from any thread
-// (the service watchdog force-cancels a wedged epoch this way), and every
+// Only poll() fires a token: the first poll past the deadline (or past a
+// test's trip_after count) latches the shared flag, and every other
 // in-flight component task sharing the token observes it at its next
-// cancel point and unwinds with SolveCancelled. arm() re-arms the token
-// for the next epoch and must only be called while no solve is in flight.
+// cancel point and unwinds with SolveCancelled. Firing is one-way and
+// lock-free. arm() re-arms the token for the next epoch and must only be
+// called while no solve is in flight.
 //
 // This header is the sanctioned home for cancellation-deadline clock
 // reads, alongside obs::Timer for measurement — musk_lint's adhoc-timing
@@ -83,10 +84,6 @@ class CancelToken {
     cancelled_.store(false, std::memory_order_relaxed);
   }
 
-  /// Fires the token. Safe from any thread at any time (the watchdog's
-  /// force-cancel path); idempotent.
-  void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-
   bool cancelled() const {
     return cancelled_.load(std::memory_order_relaxed);
   }
@@ -114,6 +111,9 @@ class CancelToken {
   }
 
  private:
+  /// Latches the flag; idempotent.
+  void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
+
   std::atomic<bool> cancelled_{false};
   /// -1 = inert; otherwise polls remaining until a forced trip.
   std::atomic<long long> trip_countdown_{-1};

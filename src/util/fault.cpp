@@ -26,7 +26,6 @@ constexpr const char* kPoints[] = {
     "svc.crash_after_commit",  // OUTCOME durable, settle not yet applied
     "svc.crash_mid_settle",    // settle applied, SETTLED not yet journaled
     "deadline.expire",         // epoch clear attempt armed its deadline
-    "watchdog.fire",           // watchdog about to force-cancel an epoch
     "degrade.fail",            // degradation rung about to run
     "segment.roll",            // journal about to open a fresh segment
     "snapshot.write",          // encoded snapshot bytes before tmp write

@@ -30,11 +30,6 @@
 //                    kService; the executor lock is never held while a
 //                    task body runs, so tasks may take kFaultRegistry /
 //                    kObsRegistry freely)
-//   kWatchdog(12)  > RebalanceService watchdog wait (the watchdog thread
-//                    parks on its own cv and force-cancels a wedged epoch
-//                    through an atomic token — it takes NO other lock
-//                    above fault/obs, so it ranks just above them and
-//                    below every pipeline lock)
 //   kFaultRegistry(10) > util::fault schedule (hooks fire under
 //                        everything above, so it must rank low)
 //   kObsRegistry(5)    > obs metrics registry (instruments may be
@@ -67,7 +62,6 @@ enum class LockRank : int {
   kReports = 30,
   kBidQueue = 20,
   kExecutor = 15,
-  kWatchdog = 12,
   kFaultRegistry = 10,
   kObsRegistry = 5,
 };

@@ -31,7 +31,6 @@
 #include "svc/service.hpp"
 #include "svc/snapshot.hpp"
 #include "svc_test_util.hpp"
-#include "util/deadline.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 
@@ -156,10 +155,9 @@ TEST(Chaos, RegistryAndScheduleGrammar) {
       "journal.fsync",         "svc.crash_after_begin",
       "svc.crash_before_commit", "svc.crash_after_commit",
       "svc.crash_mid_settle",  "deadline.expire",
-      "watchdog.fire",         "degrade.fail",
-      "segment.roll",          "snapshot.write",
-      "snapshot.rename",       "compact.unlink",
-      "disk.full"};
+      "degrade.fail",          "segment.roll",
+      "snapshot.write",        "snapshot.rename",
+      "compact.unlink",        "disk.full"};
   const std::vector<std::string> registered = fault::points();
   for (const std::string& point : expected) {
     EXPECT_NE(std::find(registered.begin(), registered.end(), point),
@@ -872,20 +870,6 @@ TEST(Chaos, ShedConnectionCarriesRetryAfterHint) {
 
 // --- deadline / degradation chaos -------------------------------------
 
-/// Wedges until cancelled: the deadline-chaos tests use it to make the
-/// watchdog's intervention (and the crash scheduled on it) inevitable.
-class WedgedMechanism : public core::Mechanism {
- public:
-  std::string_view name() const override { return "wedged-test"; }
-  bool claims_individual_rationality() const override { return false; }
-
- protected:
-  core::Outcome run_impl(flow::SolveContext& ctx, const core::Game&,
-                         const core::BidVector&) const override {
-    for (;;) MUSK_CANCEL_POINT(ctx.cancel());
-  }
-};
-
 /// Arms a (never-firing) deadline on every epoch so the deadline fault
 /// points are live, without changing any outcome.
 void with_deadline(ServiceConfig& config) {
@@ -928,53 +912,6 @@ TEST(Chaos, CrashAtDeadlinePointsConverges) {
     // The dangling DEGRADED record replays as exactly one degraded rung.
     EXPECT_EQ(recovery.degraded_epochs, 1);
   }
-}
-
-// A crash at the instant the watchdog's force-cancel takes effect (the
-// clearing thread observing the intervention) recovers like any other
-// pre-commit kill, and the restarted daemon — with the wedged mechanism
-// swapped out — converges to the oracle.
-TEST(Chaos, CrashAtWatchdogFireConverges) {
-  SKIP_WITHOUT_FAULTS();
-  const sim::SimulationConfig config = small_config(5);
-  const Baseline baseline = run_baseline(config);
-  const std::string path = scratch_path("watchdog_fire.jrn");
-
-  WedgedMechanism wedged;
-  {
-    Journal journal(path);
-    pcn::Network net = make_network(config);
-    ServiceConfig service_config;
-    service_config.policy = config.policy;
-    service_config.journal = &journal;
-    service_config.watchdog_timeout = std::chrono::milliseconds(100);
-    service_config.degradation_ladder = {"m3"};
-    RebalanceService service(net, wedged, service_config);
-    fault::configure("watchdog.fire@1=crash");
-    EXPECT_THROW(service.run_epoch(), fault::CrashPoint);
-    fault::clear();
-  }
-
-  core::M3DoubleAuction mechanism;
-  Journal journal(path);
-  pcn::Network net = make_network(config);
-  const RecoveryReport recovery = replay_journal(journal, net, config.policy);
-  EXPECT_FALSE(recovery.applied_inflight);
-  EXPECT_EQ(recovery.rolled_back, 1);
-  EXPECT_EQ(recovery.next_epoch, 0);
-  ServiceConfig service_config;
-  service_config.policy = config.policy;
-  service_config.journal = &journal;
-  service_config.first_epoch = recovery.next_epoch;
-  RebalanceService service(net, mechanism, service_config);
-  for (int epoch = 0; epoch < kTotalEpochs; ++epoch) {
-    const EpochReport report = service.run_epoch();
-    EXPECT_EQ(report.network_digest,
-              baseline.reports[static_cast<std::size_t>(epoch)].network_digest)
-        << "epoch " << epoch;
-  }
-  EXPECT_EQ(net.state_digest(), baseline.final_net.state_digest());
-  expect_networks_equal(net, baseline.final_net);
 }
 
 // A deterministically induced degradation (injected delay burns epoch

@@ -1,10 +1,9 @@
-// Epoch deadlines, the degradation ladder, the watchdog backstop, and
-// overload-aware admission — the service-level robustness contract
-// (DESIGN.md §14).
+// Epoch deadlines, the degradation ladder, and overload-aware admission
+// — the service-level robustness contract (DESIGN.md §14).
 //
 // The wedge under test is a mechanism that never finishes on its own:
-// SlowMechanism spins on its cancel point until the deadline (or the
-// watchdog) fires. Every path below must then hold:
+// SlowMechanism spins on its cancel point until the deadline fires.
+// Every path below must then hold:
 //
 //   * the epoch descends the configured ladder and settles with the
 //     rung's outcome, bit-identical to that mechanism's clean solve;
@@ -18,6 +17,7 @@
 // None of this needs -DMUSKETEER_FAULTS: the deadline machinery is a
 // production path, driven here by real (generous) timeouts.
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -47,9 +47,8 @@ using testutil::small_config;
 constexpr std::chrono::milliseconds kDeadline{200};
 
 /// Never terminates on its own: spins on the context's cancel point
-/// until the deadline or the watchdog fires. The service must recover
-/// by descending its ladder — exactly the wedged-solver scenario the
-/// watchdog exists for.
+/// until the deadline fires. The service must recover by descending its
+/// ladder.
 class SlowMechanism : public core::Mechanism {
  public:
   std::string_view name() const override { return "slow-test"; }
@@ -99,7 +98,6 @@ TEST(DeadlineTest, WedgedMechanismDegradesToLadderRung) {
   const EpochReport report = service.run_epoch();
   EXPECT_FALSE(report.aborted);
   EXPECT_EQ(report.degradation_level, 1);
-  EXPECT_FALSE(report.watchdog_fired);
   // The degraded epoch's outcome is the rung's clean solve, to the coin.
   EXPECT_EQ(report.network_digest, oracle_report.network_digest);
   expect_networks_equal(net, oracle_net);
@@ -108,7 +106,6 @@ TEST(DeadlineTest, WedgedMechanismDegradesToLadderRung) {
   const ServiceStats stats = service.stats_snapshot();
   EXPECT_EQ(stats.deadline_exceeded, 1u);
   EXPECT_EQ(stats.degraded_epochs, 1u);
-  EXPECT_EQ(stats.watchdog_fired, 0u);
   EXPECT_EQ(stats.aborted_epochs, 0u);
 }
 
@@ -191,28 +188,20 @@ TEST(DeadlineTest, ExhaustedLadderAbortsAndReusesEpochNumber) {
   EXPECT_EQ(stats.deadline_exceeded, 2u);
 }
 
-TEST(DeadlineTest, WatchdogForceCancelsWedgedAttempt) {
+TEST(DeadlineTest, UnknownLadderNameThrowsAtConstruction) {
   const sim::SimulationConfig config = small_config();
-
-  SlowMechanism slow;
+  core::M3DoubleAuction m3;
   pcn::Network net = make_network(config);
   ServiceConfig service_config;
   service_config.policy = config.policy;
-  // No deadline at all: only the watchdog can break the wedge.
-  service_config.watchdog_timeout = std::chrono::milliseconds(100);
-  service_config.degradation_ladder = {"m3"};
-  RebalanceService service(net, slow, service_config);
-
-  const EpochReport report = service.run_epoch();
-  ASSERT_GT(report.game_edges, 0);
-  EXPECT_FALSE(report.aborted);
-  EXPECT_TRUE(report.watchdog_fired);
-  EXPECT_EQ(report.degradation_level, 1);
-  EXPECT_EQ(service.epochs_cleared(), 1);
-
-  const ServiceStats stats = service.stats_snapshot();
-  EXPECT_GE(stats.watchdog_fired, 1u);
-  EXPECT_GE(stats.deadline_exceeded, 1u);
+  service_config.degradation_ladder = {"m1", "nope"};
+  try {
+    RebalanceService service(net, m3, service_config);
+    ADD_FAILURE() << "a ladder naming an unknown mechanism was accepted";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find("'nope'"), std::string::npos)
+        << err.what();
+  }
 }
 
 TEST(DeadlineTest, EnabledButUnreachedDeadlineIsBitIdenticalToLegacy) {
@@ -228,7 +217,6 @@ TEST(DeadlineTest, EnabledButUnreachedDeadlineIsBitIdenticalToLegacy) {
   ServiceConfig armed_config;
   armed_config.policy = config.policy;
   armed_config.epoch_deadline = std::chrono::milliseconds(60000);
-  armed_config.watchdog_timeout = std::chrono::milliseconds(60000);
   RebalanceService armed(armed_net, m3, armed_config);
 
   for (int epoch = 0; epoch < 3; ++epoch) {

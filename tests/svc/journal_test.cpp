@@ -176,6 +176,10 @@ TEST(Journal, CompactBelowUnlinksCoveredSegments) {
     EXPECT_EQ(journal.oldest_segment(), 2u);
     EXPECT_EQ(journal.segment_count(), 2u);
     EXPECT_EQ(list_segments(path), (std::vector<std::uint64_t>{2, 3}));
+    // Memory follows the files: the unlinked segments' records are gone
+    // from the open journal too, and the surviving ones are rebased.
+    EXPECT_EQ(journal.records().size(), records_kept);
+    EXPECT_EQ(journal.records_from_segment(2), 0u);
     // Idempotent: nothing left below the bound.
     EXPECT_EQ(journal.compact_below(2), 0u);
   }

@@ -17,9 +17,10 @@
 //   --nodes <n> --seed <s> --mechanism <m> --epoch-ms <ms>
 //   --queue-cap <n> --threads <n> (epoch-solve concurrency;
 //   0 = hardware, 1 = components in turn on the clearing thread)
-//   --deadline-ms <ms> --degrade <m,m,...> --watchdog-ms <ms>
-//   (per-epoch clearing deadline, degradation ladder, and watchdog
-//   backstop — see musketeerd; useful for demoing overload shedding)
+//   --deadline-ms <ms> --degrade <m,m,...>
+//   (per-epoch clearing deadline, and the degradation ladder tried after
+//   a timeout, default m1 — see musketeerd; useful for demoing overload
+//   shedding)
 //
 // Each connection thread paces submissions open-loop (scheduled send
 // times, bursting to catch up if acks lag) and measures the ack round
@@ -64,7 +65,7 @@ int usage() {
                "[--nodes n] [--seed s] [--mechanism m]\n"
                "                    [--epoch-ms ms] [--queue-cap n] "
                "[--threads n] [--deadline-ms ms]\n"
-               "                    [--degrade m,m,...] [--watchdog-ms ms] "
+               "                    [--degrade m,m,...] "
                "[--retry-budget-ms ms]\n");
   return 1;
 }
@@ -165,9 +166,6 @@ int main(int argc, char** argv) {
         daemon_config.service.threads = static_cast<int>(std::stol(value));
       } else if (flag == "--deadline-ms") {
         daemon_config.service.epoch_deadline =
-            std::chrono::milliseconds(std::stol(value));
-      } else if (flag == "--watchdog-ms") {
-        daemon_config.service.watchdog_timeout =
             std::chrono::milliseconds(std::stol(value));
       } else if (flag == "--degrade") {
         daemon_config.service.degradation_ladder.clear();
@@ -370,13 +368,11 @@ int main(int argc, char** argv) {
       const svc::ServiceStats health = daemon->service().stats_snapshot();
       std::printf(
           "service: %d cleared, %llu deadline-exceeded, %llu degraded, "
-          "%llu aborted, %llu watchdog-fired, shed level %d "
-          "(ewma clear %.1f ms)\n",
+          "%llu aborted, shed level %d (ewma clear %.1f ms)\n",
           health.epochs_cleared,
           static_cast<unsigned long long>(health.deadline_exceeded),
           static_cast<unsigned long long>(health.degraded_epochs),
           static_cast<unsigned long long>(health.aborted_epochs),
-          static_cast<unsigned long long>(health.watchdog_fired),
           health.shed_level, 1e3 * health.ewma_clear_seconds);
     }
 

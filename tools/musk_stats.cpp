@@ -80,7 +80,6 @@ int main(int argc, char** argv) {
     table.add_row({"deadline exceeded",
                    std::to_string(stats.deadline_exceeded)});
     table.add_row({"degraded rungs", std::to_string(stats.degraded_epochs)});
-    table.add_row({"watchdog fired", std::to_string(stats.watchdog_fired)});
     table.add_row({"epochs aborted", std::to_string(stats.aborted_epochs)});
     table.add_row({"snapshot age",
                    stats.snapshot_age_seconds < 0.0

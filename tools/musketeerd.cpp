@@ -35,11 +35,10 @@
 //   --deadline-ms <ms> per-epoch clearing deadline: a solve that runs
 //                      past it is cooperatively cancelled and the epoch
 //                      retries down the degradation ladder, finally
-//                      journaling ABORTED (0 = off)          [0]
+//                      journaling ABORTED; also turns on admission
+//                      control (0 = off)                     [0]
 //   --degrade <list>   comma-separated degradation ladder of mechanism
-//                      names tried after a timeout           [m2-minfee,m1]
-//   --watchdog-ms <ms> force-cancel backstop for an attempt that fails
-//                      to observe its own deadline (0 = off) [0]
+//                      names tried after a timeout           [m1]
 //   --trace-out <path> collect epoch trace spans while running and, on
 //                      shutdown, write them as Chrome trace_event JSON
 //                      (load at chrome://tracing)            [off]
@@ -78,8 +77,7 @@ int usage() {
                "                  [--epoch-ms ms] [--epochs n] "
                "[--queue-cap n] [--threads n] [--journal path] "
                "[--trace-out path]\n"
-               "                  [--deadline-ms ms] [--degrade m,m,...] "
-               "[--watchdog-ms ms]\n"
+               "                  [--deadline-ms ms] [--degrade m,m,...]\n"
                "                  [--snapshot-every n] [--segment-bytes n] "
                "[--journal-keep n]\n");
   return 1;
@@ -130,9 +128,6 @@ int main(int argc, char** argv) {
         config.keep_snapshots = static_cast<int>(std::stol(value));
       } else if (flag == "--deadline-ms") {
         config.service.epoch_deadline =
-            std::chrono::milliseconds(std::stol(value));
-      } else if (flag == "--watchdog-ms") {
-        config.service.watchdog_timeout =
             std::chrono::milliseconds(std::stol(value));
       } else if (flag == "--degrade") {
         config.service.degradation_ladder.clear();
@@ -203,14 +198,13 @@ int main(int argc, char** argv) {
     }
     daemon.service().on_epoch([](const svc::EpochReport& report) {
       std::printf("epoch %d: bids %zu, edges %d, cycles %d, volume %lld, "
-                  "fees %.6f, clear %.3f ms, state %016llx%s%s\n",
+                  "fees %.6f, clear %.3f ms, state %016llx%s\n",
                   report.epoch, report.bids_applied, report.game_edges,
                   report.cycles_executed,
                   static_cast<long long>(report.rebalanced_volume),
                   report.fees_paid, 1e3 * report.clear_seconds,
                   static_cast<unsigned long long>(report.network_digest),
-                  report.degradation_level > 0 ? " [degraded]" : "",
-                  report.watchdog_fired ? " [watchdog]" : "");
+                  report.degradation_level > 0 ? " [degraded]" : "");
       std::fflush(stdout);
     });
     daemon.start();
