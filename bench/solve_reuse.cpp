@@ -188,7 +188,7 @@ int main() {
     for (double& t : bids.tail) t = 0.0;  // M2's buyers-only profile
     const std::vector<core::PlayerId> buyers = buyer_set(game, bids);
     const int reps = short_mode ? 6 : (n <= 50 ? 40 : n <= 200 ? 20 : 4);
-    const auto kind = flow::SolverKind::kBellmanFord;  // M2's default
+    const auto kind = flow::SolverKind::kNetworkSimplex;  // M2's default
 
     const SweepResult fresh = sweep_fresh(game, bids, buyers, kind, reps);
     const SweepResult reuse = sweep_reuse(game, bids, buyers, kind, reps);

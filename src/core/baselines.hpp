@@ -30,7 +30,7 @@ class NoRebalancing : public Mechanism {
 
 class HideSeek : public Mechanism {
  public:
-  explicit HideSeek(flow::SolverKind solver = flow::SolverKind::kBellmanFord)
+  explicit HideSeek(flow::SolverKind solver = flow::SolverKind::kNetworkSimplex)
       : solver_(solver) {}
 
   std::string_view name() const override { return "hide-and-seek"; }

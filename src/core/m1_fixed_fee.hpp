@@ -26,7 +26,7 @@ class M1FixedFee : public Mechanism {
   /// `fee_rate` is p_hat (> 0) and `k` >= 1 bounds the buyer rate at
   /// k * p_hat; k * fee_rate must stay below the 10% valuation bound.
   M1FixedFee(double fee_rate, double k,
-             flow::SolverKind solver = flow::SolverKind::kBellmanFord);
+             flow::SolverKind solver = flow::SolverKind::kNetworkSimplex);
 
   std::string_view name() const override { return "M1-fixed-fee"; }
 

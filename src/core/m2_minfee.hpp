@@ -26,8 +26,9 @@ namespace musketeer::core {
 
 class M2MinFee : public Mechanism {
  public:
-  explicit M2MinFee(double min_seller_fee,
-                    flow::SolverKind solver = flow::SolverKind::kBellmanFord);
+  explicit M2MinFee(
+      double min_seller_fee,
+      flow::SolverKind solver = flow::SolverKind::kNetworkSimplex);
 
   std::string_view name() const override { return "M2-minfee"; }
 

@@ -25,7 +25,7 @@ namespace musketeer::core {
 
 class M2Vcg : public Mechanism {
  public:
-  explicit M2Vcg(flow::SolverKind solver = flow::SolverKind::kBellmanFord)
+  explicit M2Vcg(flow::SolverKind solver = flow::SolverKind::kNetworkSimplex)
       : solver_(solver) {}
 
   std::string_view name() const override { return "M2-vcg"; }

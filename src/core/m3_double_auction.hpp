@@ -18,7 +18,7 @@ namespace musketeer::core {
 class M3DoubleAuction : public Mechanism {
  public:
   explicit M3DoubleAuction(
-      flow::SolverKind solver = flow::SolverKind::kBellmanFord)
+      flow::SolverKind solver = flow::SolverKind::kNetworkSimplex)
       : solver_(solver) {}
 
   std::string_view name() const override { return "M3-double-auction"; }

@@ -28,7 +28,7 @@ class M4DelayedAuction : public Mechanism {
   /// release times.
   explicit M4DelayedAuction(
       double delay_factor,
-      flow::SolverKind solver = flow::SolverKind::kBellmanFord);
+      flow::SolverKind solver = flow::SolverKind::kNetworkSimplex);
 
   std::string_view name() const override { return "M4-delayed-auction"; }
 

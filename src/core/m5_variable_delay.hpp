@@ -29,7 +29,7 @@ class M5VariableDelay : public Mechanism {
   /// One positive delay factor per player.
   explicit M5VariableDelay(
       std::vector<double> delay_factors,
-      flow::SolverKind solver = flow::SolverKind::kBellmanFord);
+      flow::SolverKind solver = flow::SolverKind::kNetworkSimplex);
 
   std::string_view name() const override { return "M5-variable-delay"; }
 

@@ -4,6 +4,8 @@
 #include <limits>
 #include <vector>
 
+#include "flow/bellman_ford.hpp"
+#include "flow/residual.hpp"
 #include "util/assert.hpp"
 
 namespace musketeer::flow {
@@ -21,8 +23,7 @@ using Step = SimplexScratch::Step;
 class NetworkSimplex {
  public:
   NetworkSimplex(const Graph& g, SimplexScratch& ws)
-      : graph_(g),
-        ws_(ws),
+      : ws_(ws),
         num_real_(static_cast<std::size_t>(g.num_edges())),
         root_(g.num_nodes()) {
     const std::size_t n = static_cast<std::size_t>(g.num_nodes());
@@ -48,10 +49,25 @@ class NetworkSimplex {
     }
     ws_.flow.assign(arcs.size(), 0);
     ws_.state.assign(arcs.size(), static_cast<signed char>(ArcState::kLower));
-    for (std::size_t a = num_real_; a < arcs.size(); ++a) {
+    // The initial basis: every node a child of the root through its
+    // artificial arc, so its potential is big-M (zero reduced cost on
+    // v -> root with pi(root) = 0). The root's own tree adjacency is
+    // never walked (a cut-off subtree never holds the root), so it is
+    // not kept.
+    const std::size_t nodes = n + 1;
+    ws_.parent_arc.assign(nodes, -1);
+    ws_.depth.assign(nodes, 1);
+    ws_.pi.assign(nodes, big_m);
+    ws_.depth[n] = 0;
+    ws_.pi[n] = 0;
+    if (ws_.adjacency.size() < n) ws_.adjacency.resize(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      const std::size_t a = num_real_ + v;
       ws_.state[a] = static_cast<signed char>(ArcState::kTree);
+      ws_.parent_arc[v] = static_cast<int>(a);
+      ws_.adjacency[v].clear();
+      ws_.adjacency[v].push_back(a);
     }
-    rebuild_tree();
   }
 
   /// Runs pivots to optimality. Returns false if the pivot cap was hit
@@ -69,7 +85,7 @@ class NetworkSimplex {
       if (entering < 0) return true;
       if (++pivots > pivot_cap) return false;
       pivot(static_cast<std::size_t>(entering), bland);
-      if (stats != nullptr) ++stats->cycles_cancelled;
+      if (stats != nullptr) ++stats->pivots;
     }
   }
 
@@ -171,7 +187,9 @@ class NetworkSimplex {
                               : flow[entering];
     std::size_t leaving = entering;
     bool leaving_at_upper = from_lower;  // where the entering arc would land
-    for (const Step& step : path) {
+    std::size_t leaving_step = path.size();
+    for (std::size_t i = 0; i < path.size(); ++i) {
+      const Step& step = path[i];
       const Amount headroom = step.forward
                                   ? arcs[step.arc].capacity - flow[step.arc]
                                   : flow[step.arc];
@@ -183,6 +201,7 @@ class NetworkSimplex {
         delta = headroom;
         leaving = step.arc;
         leaving_at_upper = step.forward;  // saturates at capacity if forward
+        leaving_step = i;
       }
     }
 
@@ -204,55 +223,69 @@ class NetworkSimplex {
               leaving_at_upper ? ArcState::kUpper : ArcState::kLower);
     MUSK_ASSERT(flow[leaving] == 0 ||
                 flow[leaving] == arcs[leaving].capacity);
-    rebuild_tree();
+    // The leaving arc cuts off the subtree below it, which holds the end
+    // of the entering arc on the leaving arc's side of the cycle: the
+    // target on the target-to-LCA half of the path, else the source.
+    const bool target_side = leaving_step < ws_.from_target.size();
+    detach(leaving);
+    attach(entering);
+    rehang(target_side ? target : source, entering,
+           target_side ? source : target);
   }
 
-  // Recomputes parent pointers, depths and potentials from the current
-  // tree arcs (BFS from the root). O(n + m).
-  void rebuild_tree() {
-    const std::size_t nodes = static_cast<std::size_t>(root_) + 1;
-    ws_.parent_arc.assign(nodes, -1);
-    ws_.depth.assign(nodes, -1);
-    ws_.pi.assign(nodes, 0);
-
-    // Tree adjacency (outer vector resized; inner vectors keep capacity).
-    std::vector<std::vector<std::size_t>>& adjacency = ws_.adjacency;
-    if (adjacency.size() < nodes) adjacency.resize(nodes);
-    for (std::size_t v = 0; v < nodes; ++v) adjacency[v].clear();
-    for (std::size_t a = 0; a < ws_.arcs.size(); ++a) {
-      if (state(a) != ArcState::kTree) continue;
-      adjacency[static_cast<std::size_t>(ws_.arcs[a].from)].push_back(a);
-      adjacency[static_cast<std::size_t>(ws_.arcs[a].to)].push_back(a);
+  void attach(std::size_t a) {
+    for (const NodeId v : {ws_.arcs[a].from, ws_.arcs[a].to}) {
+      if (v != root_) ws_.adjacency[static_cast<std::size_t>(v)].push_back(a);
     }
-    std::vector<NodeId>& queue = ws_.bfs_queue;
+  }
+
+  void detach(std::size_t a) {
+    for (const NodeId v : {ws_.arcs[a].from, ws_.arcs[a].to}) {
+      if (v == root_) continue;
+      std::vector<std::size_t>& list =
+          ws_.adjacency[static_cast<std::size_t>(v)];
+      const auto it = std::find(list.begin(), list.end(), a);
+      MUSK_ASSERT_MSG(it != list.end(), "leaving arc missing from the tree");
+      *it = list.back();
+      list.pop_back();
+    }
+  }
+
+  // Makes tree arc `a` the parent arc of `w` below `v`; a tree arc has
+  // zero reduced cost, c - pi_from + pi_to = 0, which fixes pi(w).
+  void hang(NodeId w, std::size_t a, NodeId v) {
+    const std::size_t wi = static_cast<std::size_t>(w);
+    const std::size_t vi = static_cast<std::size_t>(v);
+    ws_.parent_arc[wi] = static_cast<int>(a);
+    ws_.depth[wi] = ws_.depth[vi] + 1;
+    ws_.pi[wi] = ws_.arcs[a].from == w ? ws_.arcs[a].cost + ws_.pi[vi]
+                                       : ws_.pi[vi] - ws_.arcs[a].cost;
+  }
+
+  // Re-roots the cut-off subtree at `inner`, hung below `outer` through
+  // the entering arc, and recomputes parent arcs, depths and potentials
+  // in that subtree only: O(subtree + its tree arcs), not O(n + m). A
+  // spanning tree rooted at the root has exactly one set of these, so
+  // they equal a full rebuild's and the pivot sequence is unchanged.
+  void rehang(NodeId inner, std::size_t entering, NodeId outer) {
+    hang(inner, entering, outer);
+    std::vector<NodeId>& queue = ws_.subtree;
     queue.clear();
-    queue.push_back(root_);
-    ws_.depth[static_cast<std::size_t>(root_)] = 0;
-    ws_.pi[static_cast<std::size_t>(root_)] = 0;
+    queue.push_back(inner);
     for (std::size_t head = 0; head < queue.size(); ++head) {
       const NodeId v = queue[head];
-      for (std::size_t a : adjacency[static_cast<std::size_t>(v)]) {
+      const std::size_t up = static_cast<std::size_t>(
+          ws_.parent_arc[static_cast<std::size_t>(v)]);
+      for (const std::size_t a : ws_.adjacency[static_cast<std::size_t>(v)]) {
+        if (a == up) continue;
         const NodeId w =
             ws_.arcs[a].from == v ? ws_.arcs[a].to : ws_.arcs[a].from;
-        if (ws_.depth[static_cast<std::size_t>(w)] >= 0) continue;
-        ws_.depth[static_cast<std::size_t>(w)] =
-            ws_.depth[static_cast<std::size_t>(v)] + 1;
-        ws_.parent_arc[static_cast<std::size_t>(w)] = static_cast<int>(a);
-        // Tree arcs have zero reduced cost: c - pi_from + pi_to = 0.
-        if (ws_.arcs[a].from == w) {
-          ws_.pi[static_cast<std::size_t>(w)] =
-              ws_.arcs[a].cost + ws_.pi[static_cast<std::size_t>(v)];
-        } else {
-          ws_.pi[static_cast<std::size_t>(w)] =
-              ws_.pi[static_cast<std::size_t>(v)] - ws_.arcs[a].cost;
-        }
+        hang(w, a, v);
         queue.push_back(w);
       }
     }
-    MUSK_ASSERT_MSG(queue.size() == nodes, "basis must span all nodes");
   }
 
-  const Graph& graph_;
   SimplexScratch& ws_;
   std::size_t num_real_;
   NodeId root_;
@@ -268,7 +301,17 @@ Circulation solve_network_simplex(const Graph& g, SolveStats* stats) {
 Circulation solve_network_simplex(const Graph& g, Workspace& ws,
                                   SolveStats* stats,
                                   util::CancelToken* cancel) {
-  if (g.num_edges() == 0) return zero_circulation(g);
+  // Zero-flow certificate: one Bellman–Ford run on the zero
+  // circulation's residual. A settled network has positive-gain arcs but
+  // no positive-welfare cycle; the simplex would pivot every such arc in
+  // degenerately before proving what this run proves.
+  MUSK_CANCEL_POINT(cancel);
+  Circulation f = zero_circulation(g);
+  build_residual(g, f, ws.arcs);
+  if (!find_negative_cycle(g.num_nodes(), ws.arcs, ws.bf).has_value()) {
+    if (stats != nullptr) ++stats->zero_flow_certified;
+    return f;
+  }
   NetworkSimplex simplex(g, ws.ns);
   if (!simplex.solve(stats, cancel)) {
     // Degenerate pivoting hit the cap: fall back to the proven canceller
@@ -277,9 +320,12 @@ Circulation solve_network_simplex(const Graph& g, Workspace& ws,
     if (stats != nullptr) ++stats->fallbacks;
     return solve_max_welfare(g, ws, SolverKind::kBellmanFord, stats, cancel);
   }
-  Circulation f = simplex.extract();
+  f = simplex.extract();
   MUSK_ASSERT_MSG(is_feasible(g, f),
                   "network simplex produced an infeasible circulation");
+  MUSK_ASSERT_MSG(verify_dual(g, f, ws.ns.pi),
+                  "network simplex potentials do not certify its "
+                  "circulation optimal");
 #if defined(MUSKETEER_AUDIT)
   // Audit hook: a spanning basis with no violating reduced cost must be
   // optimal — re-certify with the independent residual-cycle test.

@@ -107,6 +107,8 @@ Circulation SolveContext::solve(SolverKind kind, SolveStats* stats) {
   for (const SolveStats& s : slot_stats_) {
     local.cycles_cancelled += s.cycles_cancelled;
     local.units_pushed += s.units_pushed;
+    local.pivots += s.pivots;
+    local.zero_flow_certified += s.zero_flow_certified;
     local.fallbacks += s.fallbacks;
   }
   local.graph_rebuilds =
@@ -129,10 +131,16 @@ Circulation SolveContext::solve(SolverKind kind, SolveStats* stats) {
   MUSK_OBS_COUNT("flow.solve.total", 1);
   MUSK_OBS_COUNT("flow.solve.fallback_total",
                  static_cast<std::uint64_t>(local.fallbacks));
+  MUSK_OBS_COUNT("flow.simplex.pivots_total",
+                 static_cast<std::uint64_t>(local.pivots));
+  MUSK_OBS_COUNT("flow.solve.zero_certified_total",
+                 static_cast<std::uint64_t>(local.zero_flow_certified));
   MUSK_OBS_HISTOGRAM("flow.solve.seconds", span.end());
   if (stats != nullptr) {
     stats->cycles_cancelled += local.cycles_cancelled;
     stats->units_pushed += local.units_pushed;
+    stats->pivots += local.pivots;
+    stats->zero_flow_certified += local.zero_flow_certified;
     stats->fallbacks += local.fallbacks;
     stats->graph_rebuilds += local.graph_rebuilds;
   }

@@ -147,7 +147,7 @@ class SolveContext {
 
   /// Runs solve_max_welfare on the bound graph, component by component
   /// through executor(). Bit-identical to a whole-graph solve.
-  Circulation solve(SolverKind kind = SolverKind::kBellmanFord,
+  Circulation solve(SolverKind kind = SolverKind::kNetworkSimplex,
                     SolveStats* stats = nullptr);
 
   /// Sign-consistent decomposition of `f` on the bound graph through the

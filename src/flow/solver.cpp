@@ -81,4 +81,22 @@ bool is_optimal(const Graph& g, const Circulation& f) {
   return !find_negative_cycle(g.num_nodes(), arcs).has_value();
 }
 
+bool verify_dual(const Graph& g, const Circulation& f,
+                 std::span<const std::int64_t> pi) {
+  MUSK_ASSERT(f.size() == static_cast<std::size_t>(g.num_edges()));
+  MUSK_ASSERT(pi.size() >= static_cast<std::size_t>(g.num_nodes()));
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const Edge& edge = g.edge(e);
+    const Amount fe = f[static_cast<std::size_t>(e)];
+    // The forward residual arc costs -gain, the backward one +gain, so
+    // their reduced costs are rc and -rc.
+    const std::int64_t rc = -g.scaled_gain(e) -
+                            pi[static_cast<std::size_t>(edge.from)] +
+                            pi[static_cast<std::size_t>(edge.to)];
+    if (fe < edge.capacity && rc < 0) return false;
+    if (fe > 0 && rc > 0) return false;
+  }
+  return true;
+}
+
 }  // namespace musketeer::flow

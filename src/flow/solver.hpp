@@ -5,13 +5,15 @@
 // which is the min-cost circulation problem with cost = -bid. Two
 // solvers, both starting from the zero circulation (always feasible):
 //
+//  * kNetworkSimplex, the default, pivots a spanning-tree basis
+//    (flow/network_simplex.hpp); its potentials are the LP duals, which
+//    verify_dual checks on every solve. A quiescent epoch costs it one
+//    Bellman–Ford run, which certifies the zero flow optimal.
 //  * kBellmanFord cancels any negative residual cycle found until none
 //    remain, which is exactly the optimality condition (pseudo-polynomial
 //    worst case, guaranteed to terminate because costs are exact integers
-//    and every cancellation strictly improves welfare). Fastest on
-//    quiescent epochs, where one pass certifies the zero flow optimal.
-//  * kNetworkSimplex pivots a spanning-tree basis (flow/network_simplex
-//    .hpp); its potentials are the LP duals. Fastest at scale.
+//    and every cancellation strictly improves welfare). It is the
+//    reference kind and the network simplex's pivot-cap fallback.
 //
 // Both produce *exactly* optimal circulations; tests cross-validate them
 // against each other, against the LP simplex encoder, and against the
@@ -24,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "flow/circulation.hpp"
 #include "flow/graph.hpp"
@@ -39,14 +42,22 @@ enum class SolverKind {
   /// Negative-cycle cancelling; also the optimality certificate and the
   /// network simplex's pivot-cap fallback.
   kBellmanFord = 0,
-  /// Network simplex (see flow/network_simplex.hpp): O(n + m) pivots
-  /// instead of O(n*m) cancellations — the fast path at scale.
+  /// Network simplex (see flow/network_simplex.hpp): the default. Each
+  /// pivot costs an O(m) pricing scan plus the re-hung subtree, instead
+  /// of an O(n*m) cancellation.
   kNetworkSimplex = 3,
 };
 
 struct SolveStats {
+  /// Negative cycles the Bellman–Ford canceller cancelled (also on the
+  /// network simplex's fallback path).
   int cycles_cancelled = 0;
   Amount units_pushed = 0;
+  /// Network simplex pivots, bound flips and degenerate pivots included.
+  int pivots = 0;
+  /// Network simplex solves the zero-flow certificate closed without a
+  /// pivot: the graph had no positive-welfare cycle.
+  int zero_flow_certified = 0;
   /// Times the network simplex hit its pivot cap and fell back to the
   /// Bellman–Ford canceller (0 for kBellmanFord).
   int fallbacks = 0;
@@ -63,7 +74,7 @@ struct SolveStats {
 
 /// Computes a feasible circulation maximizing sum(gain(e) * f(e)).
 Circulation solve_max_welfare(const Graph& g,
-                              SolverKind kind = SolverKind::kBellmanFord,
+                              SolverKind kind = SolverKind::kNetworkSimplex,
                               SolveStats* stats = nullptr);
 
 /// Workspace-reusing variant (bit-identical result): all solver scratch
@@ -76,12 +87,21 @@ Circulation solve_max_welfare(const Graph& g,
 /// it fires — the workspace stays structurally valid (only its scratch
 /// contents are stale) and the next call reuses it normally.
 Circulation solve_max_welfare(const Graph& g, Workspace& ws,
-                              SolverKind kind = SolverKind::kBellmanFord,
+                              SolverKind kind = SolverKind::kNetworkSimplex,
                               SolveStats* stats = nullptr,
                               util::CancelToken* cancel = nullptr);
 
 /// True iff `f` is a welfare-optimal feasible circulation on `g`
 /// (certified by the absence of negative residual cycles — exact).
 bool is_optimal(const Graph& g, const Circulation& f);
+
+/// True iff no residual arc of `f` has negative reduced cost
+/// c(u, v) - pi(u) + pi(v) under the node potentials `pi` (at least
+/// g.num_nodes() entries), in exact int64. A residual cycle's cost is the
+/// sum of its arcs' reduced costs, so a true result proves `f` optimal
+/// however `pi` was computed; with optimal duals it agrees with
+/// is_optimal on every feasible `f`. O(m).
+bool verify_dual(const Graph& g, const Circulation& f,
+                 std::span<const std::int64_t> pi);
 
 }  // namespace musketeer::flow

@@ -46,9 +46,13 @@ struct SimplexScratch {
   std::vector<signed char> state;
   std::vector<int> parent_arc;
   std::vector<int> depth;
+  /// Node potentials of the current basis; after an optimal solve, the
+  /// LP duals that flow::verify_dual checks.
   std::vector<std::int64_t> pi;
+  /// Tree arcs incident to each node but the root.
   std::vector<std::vector<std::size_t>> adjacency;
-  std::vector<NodeId> bfs_queue;
+  /// The subtree a pivot re-hangs, in visit order.
+  std::vector<NodeId> subtree;
   std::vector<Step> path;
   std::vector<Step> from_target;
   std::vector<Step> from_source;

@@ -111,6 +111,10 @@ TEST(CancelTest, ArmedNeverFiringTokenIsBitIdenticalToNullToken) {
       // iteration counts, nothing reported cancelled.
       EXPECT_EQ(armed_stats.cycles_cancelled, plain_stats.cycles_cancelled)
           << "seed " << seed;
+      EXPECT_EQ(armed_stats.pivots, plain_stats.pivots) << "seed " << seed;
+      EXPECT_EQ(armed_stats.zero_flow_certified,
+                plain_stats.zero_flow_certified)
+          << "seed " << seed;
       EXPECT_EQ(armed_stats.units_pushed, plain_stats.units_pushed)
           << "seed " << seed;
       EXPECT_EQ(armed_stats.fallbacks, plain_stats.fallbacks)
@@ -121,23 +125,34 @@ TEST(CancelTest, ArmedNeverFiringTokenIsBitIdenticalToNullToken) {
   }
 }
 
+// Also on a quiescent graph (a gaining arc, no gaining cycle), which the
+// network simplex's zero-flow certificate closes without a pivot: the
+// first poll must come before the certificate.
 TEST(CancelTest, AlreadyExpiredDeadlineCancelsOnFirstPoll) {
   util::Rng rng(3);
-  const Graph g = random_graph(10, 24, rng);
-  for (const SolverKind kind : kKinds) {
-    SCOPED_TRACE(static_cast<int>(kind));
-    Workspace ws;
-    util::CancelToken token;
-    token.arm(util::Deadline::after(std::chrono::milliseconds(0)));
-    SolveStats stats;
-    EXPECT_THROW(solve_max_welfare(g, ws, kind, &stats, &token),
-                 util::SolveCancelled);
-    EXPECT_TRUE(token.cancelled());
-    // And the workspace is still good for a clean solve afterwards.
-    Workspace fresh;
-    const Circulation expected = solve_max_welfare(g, fresh, kind);
-    token.arm(util::Deadline::never());
-    EXPECT_EQ(solve_max_welfare(g, ws, kind, &stats, &token), expected);
+  Graph quiescent(3);
+  quiescent.add_edge(0, 1, 5, 0.01);
+  quiescent.add_edge(1, 2, 5, -0.02);
+  quiescent.add_edge(2, 0, 5, 0.0);
+  SolveStats certified;
+  solve_max_welfare(quiescent, SolverKind::kNetworkSimplex, &certified);
+  ASSERT_EQ(certified.zero_flow_certified, 1);
+  for (const Graph& g : {random_graph(10, 24, rng), quiescent}) {
+    for (const SolverKind kind : kKinds) {
+      SCOPED_TRACE(static_cast<int>(kind));
+      Workspace ws;
+      util::CancelToken token;
+      token.arm(util::Deadline::after(std::chrono::milliseconds(0)));
+      SolveStats stats;
+      EXPECT_THROW(solve_max_welfare(g, ws, kind, &stats, &token),
+                   util::SolveCancelled);
+      EXPECT_TRUE(token.cancelled());
+      // And the workspace is still good for a clean solve afterwards.
+      Workspace fresh;
+      const Circulation expected = solve_max_welfare(g, fresh, kind);
+      token.arm(util::Deadline::never());
+      EXPECT_EQ(solve_max_welfare(g, ws, kind, &stats, &token), expected);
+    }
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "flow/bellman_ford.hpp"
+#include "flow/residual.hpp"
 #include "gen/game_gen.hpp"
 #include "util/rng.hpp"
 
@@ -51,7 +55,23 @@ TEST(NetworkSimplexTest, ReportsPivotStats) {
   g.add_edge(2, 0, 8, 0.0);
   SolveStats stats;
   solve_network_simplex(g, &stats);
-  EXPECT_GE(stats.cycles_cancelled, 1);
+  EXPECT_GE(stats.pivots, 1);
+  EXPECT_EQ(stats.cycles_cancelled, 0);
+  EXPECT_EQ(stats.zero_flow_certified, 0);
+}
+
+// A settled game: arc 0->1 gains, so it prices into the initial basis,
+// but no cycle gains overall. The zero-flow certificate closes the solve
+// before the simplex pivots (without it, this game took 2 pivots).
+TEST(NetworkSimplexTest, QuiescentGameCertifiedWithoutPivots) {
+  Graph g(3);
+  g.add_edge(0, 1, 5, 0.01);
+  g.add_edge(1, 2, 5, -0.02);
+  g.add_edge(2, 0, 5, 0.0);
+  SolveStats stats;
+  EXPECT_EQ(solve_network_simplex(g, &stats), zero_circulation(g));
+  EXPECT_EQ(stats.pivots, 0);
+  EXPECT_EQ(stats.zero_flow_certified, 1);
 }
 
 TEST(NetworkSimplexTest, ViaSolverKindDispatch) {
@@ -98,6 +118,79 @@ TEST(NetworkSimplexTest, LightningScaleGameSolves) {
   const Graph g = game.build_graph(game.truthful_bids());
   const Circulation f = solve_network_simplex(g);
   EXPECT_TRUE(is_optimal(g, f));
+}
+
+/// The games bench/e7_solver_ablation solves, in its order: three
+/// seeded BA games at each of n = 16, 32, 64 and 128.
+std::vector<Graph> e7_games() {
+  util::Rng rng(2468);
+  std::vector<Graph> games;
+  for (const NodeId n : {16, 32, 64, 128}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      gen::GameConfig config;
+      config.depleted_share = 0.3;
+      config.capacity_max = 50;
+      const core::Game game = gen::random_ba_game(n, 2, config, rng);
+      games.push_back(game.build_graph(game.truthful_bids()));
+    }
+  }
+  return games;
+}
+
+// The subtree update must leave the Dantzig pivot sequence exactly as a
+// full tree rebuild after every pivot had it: these are the pivot counts
+// of that rebuild on E7's games (means 48 / 135 / 259 / 577 per size).
+TEST(NetworkSimplexTest, PivotCountsPinnedOnE7Games) {
+  const int want[] = {39,  65,  41,  133, 134, 138,
+                      254, 248, 276, 563, 597, 572};
+  const std::vector<Graph> games = e7_games();
+  ASSERT_EQ(games.size(), std::size(want));
+  Workspace ws;
+  for (std::size_t i = 0; i < games.size(); ++i) {
+    SolveStats stats;
+    solve_network_simplex(games[i], ws, &stats);
+    EXPECT_EQ(stats.pivots, want[i]) << "game " << i;
+    EXPECT_EQ(stats.fallbacks, 0) << "game " << i;
+  }
+}
+
+/// `f` with one unit pushed around a residual cycle that loses welfare
+/// (found as a negative cycle under negated costs): feasible, and
+/// strictly worse than `f`.
+Circulation one_unit_worse(const Graph& g, const Circulation& f) {
+  std::vector<ResidualArc> arcs = build_residual(g, f);
+  for (ResidualArc& arc : arcs) arc.cost = -arc.cost;
+  const auto cycle = find_negative_cycle(g.num_nodes(), arcs);
+  EXPECT_TRUE(cycle.has_value());
+  Circulation worse = f;
+  if (cycle) push_along(arcs, *cycle, 1, worse);
+  return worse;
+}
+
+// The simplex's final potentials are optimal LP duals, so verify_dual
+// under them agrees with the residual-cycle certificate on any feasible
+// circulation: both optima (by complementary slackness, Bellman–Ford's
+// too), the zero flow, and an optimum moved one unit off.
+TEST(NetworkSimplexTest, VerifyDualAgreesWithIsOptimalOnE7Games) {
+  Workspace ws;
+  int index = 0;
+  for (const Graph& g : e7_games()) {
+    SCOPED_TRACE(index++);
+    SolveStats stats;
+    const Circulation f_ns = solve_network_simplex(g, ws, &stats);
+    ASSERT_GT(stats.pivots, 0);
+    const std::vector<std::int64_t> pi = ws.ns.pi;
+    const Circulation f_bf = solve_max_welfare(g, SolverKind::kBellmanFord);
+    const Circulation worse = one_unit_worse(g, f_ns);
+    ASSERT_TRUE(is_feasible(g, worse));
+    EXPECT_LT(scaled_welfare(g, worse), scaled_welfare(g, f_ns));
+    EXPECT_TRUE(verify_dual(g, f_ns, pi));
+    EXPECT_TRUE(verify_dual(g, f_bf, pi));
+    EXPECT_FALSE(verify_dual(g, worse, pi));
+    for (const Circulation& f : {f_ns, f_bf, zero_circulation(g), worse}) {
+      EXPECT_EQ(verify_dual(g, f, pi), is_optimal(g, f));
+    }
+  }
 }
 
 TEST(NetworkSimplexTest, DegenerateManyZeroCapacityEdges) {

@@ -58,6 +58,8 @@ TEST_P(SolveContextEquivalenceTest, HundredRandomGamesBitIdentical) {
     EXPECT_EQ(ctx.last_component_count(), 1) << "round " << round;
     EXPECT_EQ(f_ctx, f_fresh) << "round " << round;
     EXPECT_EQ(ctx_stats.cycles_cancelled, fresh_stats.cycles_cancelled);
+    EXPECT_EQ(ctx_stats.pivots, fresh_stats.pivots);
+    EXPECT_EQ(ctx_stats.zero_flow_certified, fresh_stats.zero_flow_certified);
     EXPECT_EQ(ctx_stats.units_pushed, fresh_stats.units_pushed);
     EXPECT_EQ(ctx_stats.fallbacks, fresh_stats.fallbacks);
     expect_same_cycles(ctx.decompose(f_ctx), cycles_fresh);

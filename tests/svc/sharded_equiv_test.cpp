@@ -87,13 +87,13 @@ core::Game clustered_game(int clusters, flow::NodeId nodes_per_cluster,
   return merged;
 }
 
-/// M3 priced the slow way: one flat solve of the whole graph, the
-/// whole-graph decomposition, and M3's welfare-share pricing.
-core::Outcome whole_graph_m3(const core::Game& game) {
+/// M3 priced the slow way: one flat solve of the whole graph with
+/// `kind`, the whole-graph decomposition, and M3's welfare-share pricing.
+core::Outcome whole_graph_m3(const core::Game& game, flow::SolverKind kind) {
   const core::BidVector bids = game.truthful_bids();
   const flow::Graph g = game.build_graph(bids);
   core::Outcome outcome;
-  outcome.circulation = flow::solve_max_welfare(g);
+  outcome.circulation = flow::solve_max_welfare(g, kind);
   for (flow::CycleFlow& cycle :
        flow::decompose_sign_consistent(g, outcome.circulation)) {
     core::PricedCycle pc;
@@ -145,22 +145,26 @@ core::Game corpus_game(int round, util::Rng& rng) {
 
 class ShardedEquivalenceTest : public ::testing::TestWithParam<int> {};
 
-// 100 seeded games through M3 with the Bellman-Ford solver: the run at
-// the parameterized thread count must reproduce the whole-graph M3
-// outcome bit for bit.
+// 100 seeded games through M3 under both solver kinds: the run at the
+// parameterized thread count must reproduce the whole-graph M3 outcome
+// bit for bit.
 TEST_P(ShardedEquivalenceTest, HundredGamesBitIdenticalM3) {
   const int threads = GetParam();
   ParallelExecutor executor(threads);
-  const core::M3DoubleAuction mechanism;
-  flow::SolveContext ctx;
-  ctx.set_executor(&executor);
-  util::Rng rng(0x5EED5);
-  for (int round = 0; round < 100; ++round) {
-    const core::Game game = corpus_game(round, rng);
-    expect_outcomes_identical(mechanism.run_truthful(ctx, game),
-                              whole_graph_m3(game),
-                              "round " + std::to_string(round) + " threads " +
-                                  std::to_string(threads));
+  for (const flow::SolverKind kind :
+       {flow::SolverKind::kBellmanFord, flow::SolverKind::kNetworkSimplex}) {
+    const core::M3DoubleAuction mechanism(kind);
+    flow::SolveContext ctx;
+    ctx.set_executor(&executor);
+    util::Rng rng(0x5EED5);
+    for (int round = 0; round < 100; ++round) {
+      const core::Game game = corpus_game(round, rng);
+      expect_outcomes_identical(
+          mechanism.run_truthful(ctx, game), whole_graph_m3(game, kind),
+          "round " + std::to_string(round) + " solver " +
+              std::to_string(static_cast<int>(kind)) + " threads " +
+              std::to_string(threads));
+    }
   }
 }
 
@@ -261,8 +265,80 @@ TEST_P(ShardedEquivalenceTest, VcgPricesBitIdentical) {
   }
 }
 
+// One settled component (a gaining arc, no gaining cycle) beside an
+// active BA game: the network simplex's zero-flow certificate decides
+// per component slot, closing the settled one without a pivot, while the
+// flat solve of the whole graph finds the active cycles and pivots
+// everywhere. Both must land on the same circulation.
+TEST_P(ShardedEquivalenceTest, QuiescentBesideActiveComponentMatchesFlatSolve) {
+  const int threads = GetParam();
+  ParallelExecutor executor(threads);
+  util::Rng rng(0x9E1D);
+  gen::GameConfig config;
+  config.depleted_share = 0.3;
+  const core::Game game = gen::random_ba_game(12, 2, config, rng);
+  const flow::NodeId base = game.num_players();
+  core::Game merged(base + 3);
+  for (core::EdgeId e = 0; e < game.num_edges(); ++e) {
+    const core::GameEdge& edge = game.edge(e);
+    merged.add_edge(edge.from, edge.to, edge.capacity, edge.tail_valuation,
+                    edge.head_valuation);
+  }
+  merged.add_edge(base, base + 1, 5, 0.0, 0.01);
+  merged.add_edge(base + 1, base + 2, 5, -0.02, 0.0);
+  merged.add_edge(base + 2, base, 5, 0.0, 0.0);
+  const core::BidVector bids = merged.truthful_bids();
+
+  for (const flow::SolverKind kind :
+       {flow::SolverKind::kBellmanFord, flow::SolverKind::kNetworkSimplex}) {
+    const std::string where = "solver " +
+                              std::to_string(static_cast<int>(kind)) +
+                              " threads " + std::to_string(threads);
+    flow::SolveStats want_stats;
+    const flow::Circulation want = flow::solve_max_welfare(
+        merged.build_graph(bids), kind, &want_stats);
+    flow::SolveContext ctx;
+    ctx.set_executor(&executor);
+    merged.bind_graph(ctx, bids);
+    flow::SolveStats got_stats;
+    EXPECT_EQ(ctx.solve(kind, &got_stats), want) << where;
+    ASSERT_EQ(ctx.num_components(), 2) << where;
+    EXPECT_GT(flow::total_volume(want), 0) << where;
+    const bool simplex = kind == flow::SolverKind::kNetworkSimplex;
+    EXPECT_EQ(want_stats.zero_flow_certified, 0) << where;
+    EXPECT_EQ(got_stats.zero_flow_certified, simplex ? 1 : 0) << where;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ShardedEquivalenceTest,
                          ::testing::Values(1, 2, 8));
+
+// verify_dual under the network simplex's final potentials agrees with
+// the residual-cycle certificate on the equivalence corpus, for both
+// solvers' optima and for the zero flow.
+TEST(ShardedDualTest, VerifyDualAgreesWithIsOptimalOnCorpus) {
+  util::Rng rng(0x5EED5);
+  flow::Workspace ws;
+  int with_basis = 0;
+  for (int round = 0; round < 100; ++round) {
+    const core::Game game = corpus_game(round, rng);
+    const flow::Graph g = game.build_graph(game.truthful_bids());
+    flow::SolveStats stats;
+    const flow::Circulation f_ns = flow::solve_max_welfare(
+        g, ws, flow::SolverKind::kNetworkSimplex, &stats);
+    if (stats.zero_flow_certified == 1) continue;  // no basis, no duals
+    ++with_basis;
+    const flow::Circulation f_bf =
+        flow::solve_max_welfare(g, flow::SolverKind::kBellmanFord);
+    for (const flow::Circulation& f :
+         {f_ns, f_bf, flow::zero_circulation(g)}) {
+      EXPECT_EQ(flow::verify_dual(g, f, ws.ns.pi), flow::is_optimal(g, f))
+          << "round " << round;
+    }
+    EXPECT_TRUE(flow::verify_dual(g, f_bf, ws.ns.pi)) << "round " << round;
+  }
+  EXPECT_EQ(with_basis, 100);
+}
 
 // Satellite regression: SolveStats counters must SUM across components
 // — the bug class where a stats struct reports only the last component
