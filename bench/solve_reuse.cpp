@@ -9,9 +9,12 @@
 //     workspace per solve); the reuse path is M2Vcg::vcg_prices itself
 //     on one SolveContext with no executor attached, which rebinds the
 //     game graph in place and runs every exclusion as an O(deg) capacity
-//     mask (flow::mask_node) on a copy of the buyer's component. Both
-//     run single-threaded on identical games and must produce
-//     bit-identical prices.
+//     mask (flow::mask_node) on a copy of the bound graph. Both run
+//     single-threaded on identical games and must produce bit-identical
+//     prices. The reuse path runs once more on a 4-thread
+//     svc::ParallelExecutor, which deals the buyers to one task per
+//     thread: its prices must be bit-identical too, and its time is
+//     reported against one thread (no gate: runner core counts vary).
 // (b) 1000 quiescent epochs through svc::RebalanceService: after the
 //     network converges, every clear must rebind in place — zero graph
 //     rebuilds, near-zero allocations.
@@ -32,6 +35,7 @@
 #include "flow/solver.hpp"
 #include "pcn/rebalancer.hpp"
 #include "sim/engine.hpp"
+#include "svc/executor.hpp"
 #include "svc/service.hpp"
 #include "util/assert.hpp"
 #include "util/bench_json.hpp"
@@ -141,12 +145,15 @@ SweepResult sweep_fresh(const core::Game& game, const core::BidVector& bids,
   return r;
 }
 
-/// The zero-rebuild path: M2's own pricing on one reused context.
+/// The zero-rebuild path: M2's own pricing on one reused context, its
+/// exclusion solves run on `executor` (nullptr: in turn on this thread).
 SweepResult sweep_reuse(const core::Game& game, const core::BidVector& bids,
                         const std::vector<core::PlayerId>& buyers,
-                        flow::SolverKind kind, int reps) {
+                        flow::SolverKind kind, flow::Executor* executor,
+                        int reps) {
   const core::M2Vcg m2(kind);
   flow::SolveContext ctx;
+  ctx.set_executor(executor);
   SweepResult r;
   const auto t0 = std::chrono::steady_clock::now();
   const long long a0 = g_allocs.load(std::memory_order_relaxed);
@@ -174,11 +181,12 @@ int main() {
   bench.config("short_mode", short_mode);
 
   // ------------------------------- (a) M2 VCG prices
-  std::printf("(a) M2 VCG prices on steady-state games, single-threaded,\n"
-              "bit-identical prices checked\n\n");
+  std::printf("(a) M2 VCG prices on steady-state games, single-threaded\n"
+              "and on 4 threads, bit-identical prices checked\n\n");
   util::Table table({"n", "edges", "buyers", "solves", "fresh s", "reuse s",
                      "speedup", "fresh allocs", "reuse allocs",
-                     "reuse solves/s"});
+                     "reuse solves/s", "4-thread s", "4t vs 1t"});
+  svc::ParallelExecutor pool(4);
   std::vector<flow::NodeId> sizes{50, 200, 800};
   if (short_mode) sizes = {50, 200};
   double speedup_200 = 0.0;
@@ -191,10 +199,16 @@ int main() {
     const auto kind = flow::SolverKind::kNetworkSimplex;  // M2's default
 
     const SweepResult fresh = sweep_fresh(game, bids, buyers, kind, reps);
-    const SweepResult reuse = sweep_reuse(game, bids, buyers, kind, reps);
+    const SweepResult reuse =
+        sweep_reuse(game, bids, buyers, kind, nullptr, reps);
+    const SweepResult pooled =
+        sweep_reuse(game, bids, buyers, kind, &pool, reps);
     MUSK_ASSERT_MSG(
         fresh.prices == reuse.prices && fresh.checksum == reuse.checksum,
         "M2's prices diverged from the fresh path's");
+    MUSK_ASSERT_MSG(
+        fresh.prices == pooled.prices && fresh.checksum == pooled.checksum,
+        "M2's prices on 4 threads diverged from the fresh path's");
     MUSK_ASSERT(fresh.solves == reuse.solves);
     const double speedup = fresh.seconds / reuse.seconds;
     if (n == 200) speedup_200 = speedup;
@@ -203,6 +217,9 @@ int main() {
                       static_cast<std::uint64_t>(fresh.solves));
     bench.add_seconds(util::format("vcg_sweep_reuse/n%d", n), reuse.seconds,
                       static_cast<std::uint64_t>(reuse.solves));
+    bench.add_seconds(util::format("vcg_sweep_reuse_4t/n%d", n),
+                      pooled.seconds,
+                      static_cast<std::uint64_t>(pooled.solves));
     table.add_row(
         {util::fmt_int(n), util::fmt_int(game.num_edges()),
          util::fmt_int(static_cast<long long>(buyers.size())),
@@ -211,7 +228,9 @@ int main() {
          util::format("%.2fx", speedup), util::fmt_int(fresh.allocs),
          util::fmt_int(reuse.allocs),
          util::fmt_double(static_cast<double>(reuse.solves) / reuse.seconds,
-                          0)});
+                          0),
+         util::fmt_double(pooled.seconds, 3),
+         util::format("%.2fx", reuse.seconds / pooled.seconds)});
   }
   table.print();
   util::maybe_export_csv(table, "solve_reuse_vcg");

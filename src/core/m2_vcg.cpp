@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "flow/executor.hpp"
-#include "flow/partitioner.hpp"
+#include "obs/obs.hpp"
 #include "util/assert.hpp"
 
 namespace musketeer::core {
@@ -29,14 +30,13 @@ double welfare_without(const Game& game, const BidVector& bids, PlayerId v,
 }
 
 /// Aggregate VCG prices given `f`, the optimum `ctx` just solved on the
-/// game's buyers-only graph. f_{-v} differs from f only on v's
-/// weakly-connected component, so each exclusion re-solves that
-/// component alone, and components reprice as independent executor
-/// tasks. Every task owns a private copy of its component subgraph plus
-/// a fresh workspace — SolveContext stays single-threaded state. Prices
-/// land in disjoint slots (a buyer belongs to exactly one component),
-/// and each is the full-graph welfare difference, bit-identical to
-/// solving G_{-v} whole.
+/// game's buyers-only graph. The buyers are dealt round-robin to one
+/// executor task per thread. Each task masks every buyer it holds on its
+/// own copy of the bound graph and re-solves the whole G_{-v} through its
+/// own workspace, so SolveContext stays single-threaded state. A price
+/// depends only on its own masked solve (reusing a workspace is
+/// bit-identical) and lands in its buyer's own slot, so prices are
+/// bit-identical to fresh G_{-v} solves at any thread count.
 std::vector<double> exclusion_prices(flow::SolveContext& ctx,
                                      const Game& game, const BidVector& bids,
                                      const flow::Circulation& f,
@@ -58,42 +58,36 @@ std::vector<double> exclusion_prices(flow::SolveContext& ctx,
   }
 
   std::vector<double> prices(static_cast<std::size_t>(game.num_players()), 0.0);
-  std::vector<std::vector<PlayerId>> by_component(
-      static_cast<std::size_t>(ctx.num_components()));
-  std::vector<int> priced_components;
-  for (const PlayerId v : buyers) {
-    const int c = ctx.component_of(v);
-    MUSK_ASSERT_MSG(c != flow::kNoComponent, "buyer with no incident edge");
-    if (by_component[static_cast<std::size_t>(c)].empty()) {
-      priced_components.push_back(c);
-    }
-    by_component[static_cast<std::size_t>(c)].push_back(v);
-  }
-  ctx.executor().run(priced_components.size(), [&](std::size_t i) {
-    const int c = priced_components[i];
-    // Deliberate copy: each task masks caps in place, so it needs its
-    // own graph, not the context's shared shard.
-    flow::Graph g = ctx.component_graph(c);  // musk-lint: allow(graph-in-mechanism)
+  const std::size_t tasks = std::min(
+      static_cast<std::size_t>(ctx.executor().concurrency()), buyers.size());
+  ctx.executor().run(tasks, [&](std::size_t t) {
+    // Deliberate copy: the task masks capacities in place, so it needs
+    // its own graph, not the context's.
+    flow::Graph g = ctx.graph();  // musk-lint: allow(graph-in-mechanism)
     flow::Workspace ws;
-    const std::span<const flow::EdgeId> edges = ctx.component_edges(c);
-    flow::Circulation f_minus = f;
     flow::SavedCapacities saved;
-    for (const PlayerId v : by_component[static_cast<std::size_t>(c)]) {
+    flow::SolveStats stats;
+    [[maybe_unused]] std::uint64_t solves = 0;
+    for (std::size_t i = t; i < buyers.size(); i += tasks) {
+      const PlayerId v = buyers[i];
       flow::mask_node(g, v, saved);
-      const flow::Circulation local =
-          flow::solve_max_welfare(g, ws, solver, nullptr, ctx.cancel());
+      const flow::Circulation f_minus =
+          flow::solve_max_welfare(g, ws, solver, &stats, ctx.cancel());
       flow::restore_capacities(g, saved);
-      // Scatter overwrites every component entry, so f_minus needs no
-      // reset between buyers; outside the component it stays equal to f
-      // — exactly the whole-graph f_{-v} (a whole-graph solve of G_{-v}
-      // reproduces f on every unmasked component).
-      for (std::size_t local_e = 0; local_e < edges.size(); ++local_e) {
-        f_minus[static_cast<std::size_t>(edges[local_e])] = local[local_e];
-      }
+      ++solves;
       prices[static_cast<std::size_t>(v)] =
           welfare_without(game, bids, v, f_minus) -
           welfare_without(game, bids, v, f);
     }
+    // The exclusions bypass SolveContext::solve, so they count their
+    // solver work here.
+    MUSK_OBS_COUNT("core.vcg.exclusion_solves_total", solves);
+    MUSK_OBS_COUNT("flow.solve.fallback_total",
+                   static_cast<std::uint64_t>(stats.fallbacks));
+    MUSK_OBS_COUNT("flow.simplex.pivots_total",
+                   static_cast<std::uint64_t>(stats.pivots));
+    MUSK_OBS_COUNT("flow.solve.zero_certified_total",
+                   static_cast<std::uint64_t>(stats.zero_flow_certified));
   });
   return prices;
 }

@@ -41,11 +41,11 @@ class M2Vcg : public Mechanism {
   /// Aggregate VCG pivot price of each player under the given bids (tail
   /// bids zeroed). Exposed for tests and the truthfulness bench. Each
   /// exclusion is an O(deg) capacity mask (flow::mask_node) on a copy of
-  /// the buyer's weakly-connected component, re-solved alone — no
-  /// per-buyer graph rebuilds, and never the whole graph. Components are
-  /// repriced as tasks on `ctx`'s executor with task-local solver state;
-  /// `ctx` itself is never shared across threads. Prices are
-  /// bit-identical to whole-graph G_{-v} solves at any thread count.
+  /// the bound graph, re-solved whole — no per-buyer graph rebuilds. The
+  /// buyers are dealt round-robin to one task per thread of `ctx`'s
+  /// executor, each with its own graph copy and workspace; `ctx` itself
+  /// is never shared across threads. Prices are bit-identical to fresh
+  /// G_{-v} solves at any thread count.
   std::vector<double> vcg_prices(flow::SolveContext& ctx, const Game& game,
                                  const BidVector& bids) const;
 

@@ -1,23 +1,26 @@
 // The flow layer's task-execution seam.
 //
-// SolveContext's component solve and the mechanisms above it fan
-// independent per-component work out through this interface instead of
-// spawning threads themselves (musk_lint's raw-thread rule enforces
-// that). The production implementation is svc::ParallelExecutor — a
-// fixed, rank-locked worker pool — but the seam lives here so flow/
-// core/sim can be shard-aware without depending on the service layer.
+// SolveContext's solve and the mechanisms above it run independent work
+// through this interface instead of spawning threads themselves
+// (musk_lint's raw-thread rule enforces that). M2's VCG exclusion
+// solves are the one batch with more than one task: SolveContext::solve
+// is always a one-task batch. The production implementation is
+// svc::ParallelExecutor — a fixed, rank-locked worker pool — but the
+// seam lives here so flow/core/sim can run tasks without depending on
+// the service layer.
 //
 // Semantics of run(count, fn):
 //   * fn(i) is invoked exactly once for every i in [0, count), on the
 //     calling thread and/or worker threads, in unspecified order;
 //   * run() returns only after every invocation has finished (a
-//     barrier), so callers may merge results immediately — merging in
-//     index order is what keeps sharded solves deterministic;
+//     barrier), so callers may read results immediately;
 //   * tasks must be disjoint: fn(i) may not touch state fn(j) touches.
 //     The executor provides the barrier's synchronizes-with edges, so
-//     disjoint tasks need no locks of their own;
+//     disjoint tasks need no locks of their own. Writing each result to
+//     its own index-addressed slot is what keeps the output the same at
+//     any thread count;
 //   * concurrency() == 1 means fn runs inline on the caller, one task
-//     after another. Callers partition the same way at any concurrency.
+//     after another.
 #pragma once
 
 #include <cstddef>

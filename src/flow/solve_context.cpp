@@ -1,5 +1,8 @@
 #include "flow/solve_context.hpp"
 
+#include <algorithm>
+#include <numeric>
+
 #include "obs/obs.hpp"
 
 namespace musketeer::flow {
@@ -26,43 +29,39 @@ const char* solver_kind_name(SolverKind kind) {
 
 }  // namespace
 
-void SolveContext::ensure_shards() {
-  if (shard_builds_mark_ != stats_.structure_builds) {
-    // Topology changed: re-partition and rebuild every slot graph. Each
-    // slot build is a real graph construction and is counted as one, so
-    // SolveStats::graph_rebuilds sums the rebuild work across components
-    // instead of sampling one.
-    const Partition& part = partitioner_.run(graph_);
-    const int k = part.num_components();
-    slots_.resize(static_cast<std::size_t>(k));
-    for (int c = 0; c < k; ++c) {
-      ComponentSlot& slot = slots_[static_cast<std::size_t>(c)];
-      const std::span<const EdgeId> edges = part.edges(c);
-      slot.edges.assign(edges.begin(), edges.end());
-      Graph g(graph_.num_nodes());
-      for (const EdgeId e : slot.edges) {
-        const Edge& edge = graph_.edge(e);
-        g.add_edge(edge.from, edge.to, edge.capacity, edge.gain);
-      }
-      slot.graph = std::move(g);
-      ++stats_.structure_builds;
-      MUSK_OBS_COUNT("flow.graph.build_total", 1);
+void SolveContext::count_components() {
+  // Union over every edge, capacity-0 included: a depleted or masked
+  // edge still occupies its arc slot in the network simplex basis.
+  const auto n = static_cast<std::size_t>(graph_.num_nodes());
+  std::vector<NodeId> parent(n);
+  std::iota(parent.begin(), parent.end(), NodeId{0});
+  const auto root = [&parent](NodeId v) {
+    // Path halving: every probe points a node at its grandparent.
+    while (parent[static_cast<std::size_t>(v)] != v) {
+      const NodeId grandparent =
+          parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(v)])];
+      parent[static_cast<std::size_t>(v)] = grandparent;
+      v = grandparent;
     }
-    shard_builds_mark_ = stats_.structure_builds;
-    shard_sync_mark_ = stats_.structure_builds + stats_.rebinds;
-  } else if (shard_sync_mark_ != stats_.structure_builds + stats_.rebinds) {
-    // Same topology, fresh capacities/gains (a rebind): refresh every
-    // slot in place — the per-component analogue of the zero-rebuild
-    // rebind.
-    for (ComponentSlot& slot : slots_) {
-      for (std::size_t i = 0; i < slot.edges.size(); ++i) {
-        const Edge& edge = graph_.edge(slot.edges[i]);
-        const EdgeId local = static_cast<EdgeId>(i);
-        slot.graph.set_capacity(local, edge.capacity);
-        slot.graph.set_gain(local, edge.gain);
-      }
-    }
-    shard_sync_mark_ = stats_.structure_builds + stats_.rebinds;
+    return v;
+  };
+  for (EdgeId e = 0; e < graph_.num_edges(); ++e) {
+    const NodeId a = root(graph_.edge(e).from);
+    const NodeId b = root(graph_.edge(e).to);
+    if (a != b) parent[static_cast<std::size_t>(b)] = a;
+  }
+  // Edges per root; isolated nodes are roots with none and count as no
+  // component.
+  std::vector<EdgeId> edges(n, 0);
+  for (EdgeId e = 0; e < graph_.num_edges(); ++e) {
+    ++edges[static_cast<std::size_t>(root(graph_.edge(e).from))];
+  }
+  components_ = 0;
+  largest_component_ = 0;
+  for (const EdgeId count : edges) {
+    if (count == 0) continue;
+    ++components_;
+    largest_component_ = std::max(largest_component_, count);
   }
 }
 
@@ -70,63 +69,32 @@ Circulation SolveContext::solve(SolverKind kind, SolveStats* stats) {
   MUSK_ASSERT_MSG(bound_, "SolveContext::solve before bind");
   MUSK_OBS_SPAN(span, solve_span_name(kind));
   span.set_detail(solver_kind_name(kind));
-  ensure_shards();
 
-  // Solve every slot as a disjoint executor task.
-  slot_stats_.assign(slots_.size(), SolveStats{});
+  // One task on executor() rather than a direct call, so an attached
+  // executor still sees every solve as a batch: perfbench's timing
+  // executor reports flow.solve_ms from that batch and charges the rest
+  // of a mechanism run to pricing. svc::ParallelExecutor runs a one-task
+  // batch inline on this thread after one cancel poll.
+  Circulation f;
+  SolveStats local;
   try {
-    executor().run(slots_.size(), [&](std::size_t c) {
-      ComponentSlot& slot = slots_[c];
-      MUSK_OBS_SPAN(component_span, "core.solve.component");
-      component_span.set_detail(solver_kind_name(kind));
-      slot.flow = solve_max_welfare(slot.graph, slot.ws, kind,
-                                    &slot_stats_[c], cancel_);
-      MUSK_OBS_HISTOGRAM("core.solve.component.seconds",
-                         component_span.end());
+    executor().run(1, [&](std::size_t) {
+      f = solve_max_welfare(graph_, ws_, kind, &local, cancel_);
     });
   } catch (const util::SolveCancelled&) {
-    // All-or-nothing: merges happen only after every task finished, so
-    // the caller sees no result at all, and the next call re-solves
-    // every slot.
+    // All-or-nothing: the caller sees no result at all, and the next
+    // call solves from scratch.
     ++stats_.cancelled;
     if (stats != nullptr) ++stats->cancelled;
     MUSK_OBS_COUNT("flow.solve.cancelled_total", 1);
     throw;
   }
 
-  // Deterministic merge in component-id order: scatter each component's
-  // local flows to their global edge ids and sum the per-component
-  // counters (never "last component wins").
-  Circulation f = zero_circulation(graph_);
-  for (const ComponentSlot& slot : slots_) {
-    for (std::size_t i = 0; i < slot.edges.size(); ++i) {
-      f[static_cast<std::size_t>(slot.edges[i])] = slot.flow[i];
-    }
-  }
-  SolveStats local;
-  for (const SolveStats& s : slot_stats_) {
-    local.cycles_cancelled += s.cycles_cancelled;
-    local.units_pushed += s.units_pushed;
-    local.pivots += s.pivots;
-    local.zero_flow_certified += s.zero_flow_certified;
-    local.fallbacks += s.fallbacks;
-  }
   local.graph_rebuilds =
       static_cast<int>(stats_.structure_builds - builds_at_last_solve_);
   builds_at_last_solve_ = stats_.structure_builds;
   ++stats_.solves;
   stats_.fallbacks += local.fallbacks;
-  last_components_ = static_cast<int>(slots_.size());
-  last_largest_component_ = partitioner_.partition().largest_component_edges();
-
-#if defined(MUSKETEER_AUDIT)
-  // Each component task already re-certified its own optimality; the
-  // merged circulation must additionally conserve flow on the full
-  // graph (components share no edges, so this can only fail on a
-  // merge-order bug — exactly what it is here to catch).
-  MUSK_ASSERT_MSG(is_feasible(graph_, f),
-                  "audit: component merge produced an infeasible circulation");
-#endif
 
   MUSK_OBS_COUNT("flow.solve.total", 1);
   MUSK_OBS_COUNT("flow.solve.fallback_total",
@@ -151,22 +119,10 @@ std::vector<CycleFlow> SolveContext::decompose(const Circulation& f) {
   MUSK_ASSERT_MSG(bound_, "SolveContext::decompose before bind");
   MUSK_OBS_SPAN(span, "flow.decompose");
   std::vector<CycleFlow> cycles =
-      decompose_sign_consistent(graph_, f, dec_, cancel_);
+      decompose_sign_consistent(graph_, f, ws_.dec, cancel_);
   MUSK_OBS_COUNT("flow.decompose.cycles_total", cycles.size());
   MUSK_OBS_HISTOGRAM("flow.decompose.seconds", span.end());
   return cycles;
-}
-
-const Graph& SolveContext::component_graph(int c) const {
-  MUSK_ASSERT_MSG(shards_ready(), "no current shard pool");
-  MUSK_ASSERT(c >= 0 && c < static_cast<int>(slots_.size()));
-  return slots_[static_cast<std::size_t>(c)].graph;
-}
-
-std::span<const EdgeId> SolveContext::component_edges(int c) const {
-  MUSK_ASSERT_MSG(shards_ready(), "no current shard pool");
-  MUSK_ASSERT(c >= 0 && c < static_cast<int>(slots_.size()));
-  return slots_[static_cast<std::size_t>(c)].edges;
 }
 
 SolveContext& local_context() {

@@ -56,7 +56,7 @@ Circulation solve_max_welfare(const Graph& g, Workspace& ws, SolverKind kind,
   } catch (const util::SolveCancelled&) {
     // The partial iterate dies with the unwind; callers treat the
     // workspace as stale scratch. Count the interruption where stats
-    // outlive the throw (the SolveContext sums these per slot).
+    // outlive the throw.
     if (stats != nullptr) ++stats->cancelled;
     throw;
   }

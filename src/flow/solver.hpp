@@ -65,10 +65,10 @@ struct SolveStats {
   /// solve ran on since its previous solve (0 when solving through a bare
   /// Graph or a warm rebind-only context). See flow/solve_context.hpp.
   int graph_rebuilds = 0;
-  /// Solves (whole-graph or per-component) a cancel token interrupted
-  /// before optimality. A cancelled solve throws util::SolveCancelled
-  /// after bumping this, so the count is only observable on stats objects
-  /// that outlive the throw (e.g. SolveContext::stats()).
+  /// Solves a cancel token interrupted before optimality. A cancelled
+  /// solve throws util::SolveCancelled after bumping this, so the count
+  /// is only observable on stats objects that outlive the throw (e.g.
+  /// SolveContext::stats()).
   int cancelled = 0;
 };
 

@@ -13,14 +13,14 @@
 //     pipeline calls run() with kService(90) held, kExecutor ranks at 15,
 //     below every service-layer lock.
 //   * Work-stealing by atomic cursor: tasks are claimed one index at a
-//     time from a shared atomic counter, so a worker stuck on the
-//     largest component never serializes the small ones behind it. The
-//     caller's thread participates too — threads == 1 degenerates to a
-//     plain inline loop with no locking at all.
+//     time from a shared atomic counter, so a slow task never serializes
+//     the others behind it. The caller's thread participates too —
+//     threads == 1 (or a one-task batch, which every SolveContext::solve
+//     is) degenerates to a plain inline loop with no locking at all.
 //   * Determinism lives in the CALLER, not here: task execution order is
 //     unspecified, so callers must write results into disjoint,
-//     index-addressed slots and merge in index order (SolveContext and
-//     M2Vcg both do). The executor adds no ordering of its own.
+//     index-addressed slots (M2Vcg writes each price to its buyer's).
+//     The executor adds no ordering of its own.
 //
 // This class is the only place in the tree allowed to construct raw
 // threads (std::jthread); musk_lint's `raw-thread` rule enforces the

@@ -82,8 +82,8 @@ RebalanceService::RebalanceService(pcn::Network& network,
       executor_(config.threads),
       network_(network),
       epochs_cleared_(config.first_epoch) {
-  // With concurrency 1 the executor runs the component tasks inline on
-  // the clearing thread.
+  // With concurrency 1 the executor runs every task inline on the
+  // clearing thread.
   solve_context_.set_executor(&executor_);
   // The ladder only matters once a deadline can cancel an attempt, but
   // it is built unconditionally so a bad name fails at construction,

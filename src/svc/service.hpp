@@ -76,8 +76,8 @@ struct ServiceConfig {
   /// seamlessly across a restart.
   int first_epoch = 0;
   /// Solve concurrency: worker threads (including the clearing thread)
-  /// the epoch solve fans component tasks out across. 0 = hardware
-  /// concurrency; 1 = components solved in turn on the clearing thread
+  /// M2's VCG exclusion solves fan out across; every other solve is one
+  /// task. 0 = hardware concurrency; 1 = in turn on the clearing thread
   /// (no pool). Outcomes are bit-identical at any value — see
   /// DESIGN.md §13.
   int threads = 0;
@@ -149,8 +149,8 @@ struct ServiceStats {
   double imbalance_gini = 0.0;
   double imbalance_mean = 0.0;
   /// Solve concurrency the service was configured with (resolved: never
-  /// 0) and the last epoch's component shape, mirrored from its
-  /// EpochReport (0 before the first non-empty epoch).
+  /// 0) and the last epoch's component count and largest component,
+  /// mirrored from its EpochReport (0 before the first non-empty epoch).
   int solve_threads = 1;
   int last_components = 0;
   int largest_component = 0;
@@ -195,15 +195,15 @@ struct EpochReport {
   double solve_seconds = 0.0;     ///< mechanism run (bind+solve+price)
   double settle_seconds = 0.0;    ///< apply_outcome under network mutex
   /// flow::Graph structure (re)builds the clearing solve context
-  /// performed for this epoch. The first epoch builds the graph and one
-  /// subgraph per component; in a quiescent steady state (stable
-  /// extracted topology) every later epoch rebinds in place and reports
-  /// 0 — the zero-rebuild guarantee. Not part of the wire protocol
-  /// (local observability only).
+  /// performed for this epoch. The first epoch builds the graph once; in
+  /// a quiescent steady state (stable extracted topology) every later
+  /// epoch rebinds in place and reports 0 — the zero-rebuild guarantee.
+  /// Not part of the wire protocol (local observability only).
   int graph_rebuilds = 0;
-  /// Weakly-connected components the epoch's bid graph partitioned into
-  /// and the largest component's edge count, the same at every thread
-  /// count (0 for an empty epoch).
+  /// Weakly-connected components of the epoch's bid graph and the
+  /// largest component's edge count, counted when the solve context
+  /// builds the graph; the same at every thread count (0 for an empty
+  /// epoch).
   int solve_components = 0;
   int largest_component = 0;
   /// Degradation ladder rungs this epoch descended before clearing
@@ -338,10 +338,10 @@ class RebalanceService {
   /// Rank note: epoch callbacks (socket broadcast) run with this held,
   /// so the server's locks rank *below* it (DESIGN.md §11).
   util::OrderedMutex clear_mutex_{util::LockRank::kService, "svc.clear"};
-  /// Worker pool the epoch solve fans component tasks through
-  /// (kExecutor rank — submitted with clear_mutex_ held). Internally
-  /// synchronized by its own mutex, so clear_mutex_ does not guard it;
-  /// declared before solve_context_, which borrows it.
+  /// Worker pool the epoch's solve tasks run on (kExecutor rank —
+  /// submitted with clear_mutex_ held). Internally synchronized by its
+  /// own mutex, so clear_mutex_ does not guard it; declared before
+  /// solve_context_, which borrows it.
   ParallelExecutor executor_;  // musk-lint: allow(unguarded-member)
   /// The epoch pipeline's solve context, reused across epochs so a
   /// steady-state clear performs zero flow-graph rebuilds and zero
@@ -379,7 +379,7 @@ class RebalanceService {
 
   /// Epoch cancellation: armed per attempt by the clearing thread and
   /// fired by the attempt's own deadline when a solver polls it. Only
-  /// the flag inside is shared with component tasks — see CancelToken.
+  /// the flag inside is shared with executor tasks — see CancelToken.
   util::CancelToken cancel_token_;
   /// Degradation counters, mirrored into ServiceStats lock-free.
   std::atomic<std::uint64_t> deadline_exceeded_{0};
@@ -392,7 +392,7 @@ class RebalanceService {
   /// atomics so stats_snapshot() reads them lock-free.
   std::atomic<double> imbalance_gini_{0.0};
   std::atomic<double> imbalance_mean_{0.0};
-  /// Last epoch's component shape, mirrored from its report so
+  /// Last epoch's component count, mirrored from its report so
   /// stats_snapshot() stays lock-free.
   std::atomic<int> last_components_{0};
   std::atomic<int> last_largest_component_{0};

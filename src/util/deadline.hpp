@@ -11,10 +11,10 @@
 //
 // Only poll() fires a token: the first poll past the deadline (or past a
 // test's trip_after count) latches the shared flag, and every other
-// in-flight component task sharing the token observes it at its next
-// cancel point and unwinds with SolveCancelled. Firing is one-way and
-// lock-free. arm() re-arms the token for the next epoch and must only be
-// called while no solve is in flight.
+// in-flight task sharing the token observes it at its next cancel point
+// and unwinds with SolveCancelled. Firing is one-way and lock-free.
+// arm() re-arms the token for the next epoch and must only be called
+// while no solve is in flight.
 //
 // This header is the sanctioned home for cancellation-deadline clock
 // reads, alongside obs::Timer for measurement — musk_lint's adhoc-timing
@@ -66,9 +66,10 @@ class Deadline {
 };
 
 /// Shared cancellation state for one solve (or one epoch's worth of
-/// component solves). poll() is what MUSK_CANCEL_POINT calls: it latches
-/// deadline expiry into the atomic flag, so after the first expired poll
-/// every other thread sees the cancellation from the flag alone.
+/// solves, M2's exclusions included). poll() is what MUSK_CANCEL_POINT
+/// calls: it latches deadline expiry into the atomic flag, so after the
+/// first expired poll every other thread sees the cancellation from the
+/// flag alone.
 class CancelToken {
  public:
   CancelToken() = default;

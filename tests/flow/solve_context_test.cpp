@@ -2,16 +2,21 @@
 // randomized games must return circulations and decompositions
 // bit-identical to a flat whole-graph solve on a fresh graph and
 // workspace, with exact rebuild accounting — including gains-only
-// rebinds. Also pins flow::mask_node to the paper's G_{-v}.
+// rebinds. Also pins flow::mask_node to the paper's G_{-v}, and the
+// context's weakly-connected component count against a BFS reference.
 #include "flow/solve_context.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <queue>
+#include <string>
 #include <vector>
 
 #include "flow/decompose.hpp"
 #include "flow/solver.hpp"
 #include "gen/game_gen.hpp"
+#include "util/rng.hpp"
 
 namespace musketeer::flow {
 namespace {
@@ -53,8 +58,8 @@ TEST_P(SolveContextEquivalenceTest, HundredRandomGamesBitIdentical) {
     SolveStats ctx_stats;
     const Circulation f_ctx = ctx.solve(kind, &ctx_stats);
 
-    // BA games are connected, so the context solves one component that
-    // is the whole graph: even the solver's work counters match.
+    // BA games are connected: one component. The context solves the
+    // bound graph itself, so even the solver's work counters match.
     EXPECT_EQ(ctx.last_component_count(), 1) << "round " << round;
     EXPECT_EQ(f_ctx, f_fresh) << "round " << round;
     EXPECT_EQ(ctx_stats.cycles_cancelled, fresh_stats.cycles_cancelled);
@@ -66,10 +71,9 @@ TEST_P(SolveContextEquivalenceTest, HundredRandomGamesBitIdentical) {
   }
   // Sizes cycle with period 7, so most rounds rebind a recently seen
   // structure only when the size repeats back-to-back — but every round
-  // either rebuilt or rebound, never both, and each graph build added
-  // one component slot build.
+  // either rebuilt or rebound, never both, and the solves built nothing.
   EXPECT_EQ(graph_builds + ctx.stats().rebinds, 100);
-  EXPECT_EQ(ctx.stats().structure_builds, 2 * graph_builds);
+  EXPECT_EQ(ctx.stats().structure_builds, graph_builds);
   EXPECT_EQ(ctx.stats().solves, 100);
 }
 
@@ -87,21 +91,19 @@ TEST_P(SolveContextEquivalenceTest, StableTopologyRebindsOnly) {
     game.bind_graph(ctx, bids);
     SolveStats stats;
     const Circulation f_ctx = ctx.solve(kind, &stats);
-    // The first solve builds the bound graph plus one slot per component.
-    EXPECT_EQ(stats.graph_rebuilds,
-              round == 0 ? 1 + ctx.last_component_count() : 0)
-        << "round " << round;
+    // Only the first bind builds the graph.
+    EXPECT_EQ(stats.graph_rebuilds, round == 0 ? 1 : 0) << "round " << round;
 
     const Graph fresh = game.build_graph(bids);
     EXPECT_EQ(f_ctx, solve_max_welfare(fresh, kind)) << "round " << round;
   }
-  EXPECT_EQ(ctx.stats().structure_builds, 1 + ctx.last_component_count());
+  EXPECT_EQ(ctx.stats().structure_builds, 1);
   EXPECT_EQ(ctx.stats().rebinds, 19);
 }
 
 // A gains-only rebind (same structure and capacities) must refresh the
-// component slots in place and match a from-scratch graph carrying the
-// same gains.
+// bound graph in place and match a from-scratch graph carrying the same
+// gains.
 TEST_P(SolveContextEquivalenceTest, RebindGainsMatchesFreshGraph) {
   const SolverKind kind = GetParam();
   util::Rng rng(7);
@@ -165,6 +167,134 @@ TEST_P(SolveContextEquivalenceTest, MaskPlayerMatchesBuildWithout) {
 INSTANTIATE_TEST_SUITE_P(AllSolvers, SolveContextEquivalenceTest,
                          ::testing::Values(SolverKind::kBellmanFord,
                                            SolverKind::kNetworkSimplex));
+
+/// Binds a flow::Graph as an edge-list source.
+struct GraphSource {
+  const Graph& g;
+  NodeId num_nodes() const { return g.num_nodes(); }
+  EdgeId num_edges() const { return g.num_edges(); }
+  NodeId edge_from(EdgeId e) const { return g.edge(e).from; }
+  NodeId edge_to(EdgeId e) const { return g.edge(e).to; }
+  Amount capacity(EdgeId e) const { return g.edge(e).capacity; }
+  double gain(EdgeId e) const { return g.edge(e).gain; }
+};
+
+/// Reference: BFS over the undirected edge set. Returns the edge count of
+/// every component; isolated nodes belong to none.
+std::vector<EdgeId> bfs_edges_per_component(const Graph& g) {
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  std::vector<std::vector<NodeId>> adjacent(n);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    adjacent[static_cast<std::size_t>(g.edge(e).from)].push_back(g.edge(e).to);
+    adjacent[static_cast<std::size_t>(g.edge(e).to)].push_back(g.edge(e).from);
+  }
+  std::vector<int> component(n, -1);
+  int next = 0;
+  for (std::size_t start = 0; start < n; ++start) {
+    if (component[start] != -1 || adjacent[start].empty()) continue;
+    std::queue<NodeId> frontier;
+    frontier.push(static_cast<NodeId>(start));
+    component[start] = next;
+    while (!frontier.empty()) {
+      const NodeId v = frontier.front();
+      frontier.pop();
+      for (const NodeId w : adjacent[static_cast<std::size_t>(v)]) {
+        if (component[static_cast<std::size_t>(w)] == -1) {
+          component[static_cast<std::size_t>(w)] = next;
+          frontier.push(w);
+        }
+      }
+    }
+    ++next;
+  }
+  std::vector<EdgeId> edges(static_cast<std::size_t>(next), 0);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    ++edges[static_cast<std::size_t>(
+        component[static_cast<std::size_t>(g.edge(e).from)])];
+  }
+  return edges;
+}
+
+void expect_components(SolveContext& ctx, const Graph& g) {
+  ctx.bind_from(GraphSource{g});
+  const std::vector<EdgeId> want = bfs_edges_per_component(g);
+  EXPECT_EQ(ctx.last_component_count(), static_cast<int>(want.size()));
+  EXPECT_EQ(ctx.last_largest_component(),
+            want.empty() ? 0 : *std::max_element(want.begin(), want.end()));
+}
+
+TEST(SolveContextComponentTest, EmptyGraphHasNoComponents) {
+  SolveContext ctx;
+  ctx.bind_from(GraphSource{Graph(0)});
+  EXPECT_EQ(ctx.last_component_count(), 0);
+  EXPECT_EQ(ctx.last_largest_component(), 0);
+}
+
+TEST(SolveContextComponentTest, IsolatedNodesAreNoComponent) {
+  SolveContext ctx;
+  ctx.bind_from(GraphSource{Graph(5)});
+  EXPECT_EQ(ctx.last_component_count(), 0);
+  EXPECT_EQ(ctx.last_largest_component(), 0);
+}
+
+TEST(SolveContextComponentTest, SingleEdgeIsOneComponent) {
+  Graph g(3);
+  g.add_edge(0, 2, 5, 1.0);
+  SolveContext ctx;
+  ctx.bind_from(GraphSource{g});
+  EXPECT_EQ(ctx.last_component_count(), 1);
+  EXPECT_EQ(ctx.last_largest_component(), 1);
+}
+
+TEST(SolveContextComponentTest, FullyConnectedIsOneComponent) {
+  Graph g(6);
+  for (NodeId v = 0; v < 6; ++v) g.add_edge(v, (v + 1) % 6, 4, 1.0);
+  SolveContext ctx;
+  ctx.bind_from(GraphSource{g});
+  EXPECT_EQ(ctx.last_component_count(), 1);
+  EXPECT_EQ(ctx.last_largest_component(), 6);
+}
+
+// Capacity-0 edges still connect their endpoints: a depleted or masked
+// edge is structurally present in every solver's arc layout.
+TEST(SolveContextComponentTest, ZeroCapacityEdgesStillConnect) {
+  Graph g(4);
+  g.add_edge(0, 1, 3, 1.0);
+  g.add_edge(1, 2, 0, 1.0);
+  g.add_edge(2, 3, 3, 1.0);
+  SolveContext ctx;
+  ctx.bind_from(GraphSource{g});
+  EXPECT_EQ(ctx.last_component_count(), 1);
+  EXPECT_EQ(ctx.last_largest_component(), 3);
+}
+
+// One reused context against the BFS reference on random graphs. The
+// count is taken on structure builds only, so a rebind onto the same
+// structure with other capacities keeps it.
+TEST(SolveContextComponentTest, CountMatchesBfsOnRandomGraphs) {
+  util::Rng rng(0xBADCAB);
+  SolveContext ctx;
+  for (int round = 0; round < 50; ++round) {
+    const NodeId n = 2 + static_cast<NodeId>(rng.uniform(41));
+    Graph g(n);
+    const int m =
+        static_cast<int>(rng.uniform(static_cast<std::uint64_t>(3 * n) + 1));
+    for (int e = 0; e < m; ++e) {
+      const NodeId from =
+          static_cast<NodeId>(rng.uniform(static_cast<std::uint64_t>(n)));
+      NodeId to =
+          static_cast<NodeId>(rng.uniform(static_cast<std::uint64_t>(n)));
+      if (to == from) to = (to + 1) % n;
+      g.add_edge(from, to, static_cast<Amount>(rng.uniform(6)), 1.0);
+    }
+    SCOPED_TRACE("round " + std::to_string(round));
+    expect_components(ctx, g);
+    for (EdgeId e = 0; e < g.num_edges(); ++e) g.set_capacity(e, 0);
+    const long long rebinds = ctx.stats().rebinds;
+    expect_components(ctx, g);
+    EXPECT_EQ(ctx.stats().rebinds, rebinds + 1);
+  }
+}
 
 TEST(SolveContextTest, SolveBeforeBindDies) {
   SolveContext ctx;

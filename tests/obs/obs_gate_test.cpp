@@ -10,23 +10,31 @@
 //     Combined with the digest-equality tests in tests/svc running in
 //     an OBS=OFF build, this pins the acceptance claim that the switch
 //     is bit-identical on outcomes.
+#include <cstdint>
+#include <set>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/m2_vcg.hpp"
 #include "core/m3_double_auction.hpp"
+#include "flow/solve_context.hpp"
+#include "gen/game_gen.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "svc/executor.hpp"
 #include "svc/service.hpp"
 #include "svc_test_util.hpp"
+#include "util/rng.hpp"
 
 namespace musketeer::obs {
 namespace {
 
 TEST(ObsGate, MacrosAreCompiledOutWhenDisabled) {
   bool evaluated = false;
-  const auto touch = [&evaluated] {
+  // Unused when the macros compile out, which is the point.
+  [[maybe_unused]] const auto touch = [&evaluated] {
     evaluated = true;
     return 1.0;
   };
@@ -84,6 +92,34 @@ TEST(ObsGate, TracingDoesNotPerturbSettlement) {
   trace::clear();
 
   EXPECT_EQ(quiet, traced);
+}
+
+// M2's exclusion solves run as executor tasks outside
+// SolveContext::solve, so they count themselves: one vcg_prices call on
+// a 4-thread pool adds one exclusion solve per buyer.
+TEST(ObsGate, VcgExclusionSolvesAreCounted) {
+  util::Rng rng(0x0B5);
+  const core::Game game = gen::random_ba_game(30, 2, gen::GameConfig{}, rng);
+  const core::BidVector bids = game.truthful_bids();
+  std::set<core::PlayerId> buyers;
+  for (core::EdgeId e = 0; e < game.num_edges(); ++e) {
+    if (bids.head[static_cast<std::size_t>(e)] > 0.0) {
+      buyers.insert(game.edge(e).to);
+    }
+  }
+  ASSERT_FALSE(buyers.empty());
+
+  svc::ParallelExecutor executor(4);
+  flow::SolveContext ctx;
+  ctx.set_executor(&executor);
+  const Counter& solves = registry().counter("core.vcg.exclusion_solves_total");
+  const std::uint64_t before = solves.value();
+  core::M2Vcg().vcg_prices(ctx, game, bids);
+#ifdef MUSKETEER_OBS
+  EXPECT_EQ(solves.value() - before, buyers.size());
+#else
+  EXPECT_EQ(solves.value(), before);
+#endif
 }
 
 }  // namespace

@@ -15,8 +15,8 @@
 // daemon options (--spawn starts an in-process musketeerd on an
 // ephemeral loopback port):
 //   --nodes <n> --seed <s> --mechanism <m> --epoch-ms <ms>
-//   --queue-cap <n> --threads <n> (epoch-solve concurrency;
-//   0 = hardware, 1 = components in turn on the clearing thread)
+//   --queue-cap <n> --threads <n> (epoch-solve concurrency for M2's
+//   exclusion solves; 0 = hardware, 1 = in turn on the clearing thread)
 //   --deadline-ms <ms> --degrade <m,m,...>
 //   (per-epoch clearing deadline, and the degradation ladder tried after
 //   a timeout, default m1 — see musketeerd; useful for demoing overload

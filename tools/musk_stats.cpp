@@ -8,7 +8,7 @@
 // Sends one kStatsRequest frame and renders the kStatsResponse: service
 // state (epoch counter, queue depth/capacity/high-watermark, journal
 // size, uptime), the Pickhardt-style imbalance gauges, the solve
-// concurrency and last epoch's component shape, the checkpoint health
+// concurrency and last epoch's component count, the checkpoint health
 // (snapshot age, epochs since snapshot, journal segment count), the
 // intake counters, and — with --json — the full metrics registry snapshot
 // (counters, gauges, histogram quantiles) the daemon serves.

@@ -15,11 +15,10 @@
 //   --metrics-out <path>   dump per-epoch metrics (.json → JSON, else CSV)
 //   --backend <b>          inproc (historic inline call) or service
 //                          (route every epoch through svc::RebalanceService)
-//   --threads <n>          epoch-solve concurrency: shard the bid graph by
-//                          weakly-connected component across n threads
-//                          (0 = hardware concurrency, 1 = components
-//                          in turn on one thread; results are bit-identical
-//                          at any value)
+//   --threads <n>          epoch-solve concurrency: M2's VCG exclusion
+//                          solves run across n threads (0 = hardware
+//                          concurrency, 1 = in turn on one thread;
+//                          results are bit-identical at any value)
 //
 // Exit status: 0 on success, 1 on usage errors, 2 on invalid input.
 #include <cstdio>

@@ -10,12 +10,11 @@
 //   --epoch-ms <ms>    epoch period                          [1000]
 //   --epochs <n>       stop after n epochs (0 = run forever) [0]
 //   --queue-cap <n>    intake queue capacity (players)       [1024]
-//   --threads <n>      epoch-solve concurrency: the clearing solve
-//                      shards the bid graph by weakly-connected
-//                      component across n threads (0 = hardware
-//                      concurrency, 1 = components in turn on the
-//                      clearing thread; outcomes are bit-identical
-//                      at any value)                          [0]
+//   --threads <n>      epoch-solve concurrency: M2's VCG exclusion
+//                      solves run across n threads (0 = hardware
+//                      concurrency, 1 = in turn on the clearing
+//                      thread; outcomes are bit-identical at any
+//                      value)                                 [0]
 //   --journal <path>   crash-safe epoch journal (WAL); on restart the
 //                      daemon recovers from the newest valid snapshot
 //                      (if any) plus the journal tail — falling back to
