@@ -115,10 +115,11 @@ struct SweepResult {
 /// The historic path: every exclusion re-solve constructs G_{-v} and a
 /// fresh workspace (the legacy solve_max_welfare allocates its scratch
 /// per call, exactly as the pre-SolveContext code did), priced by M2's
-/// welfare difference p(v) = SW(b_{-v}, f_{-v}) - SW(b_{-v}, f).
+/// welfare difference p(v) = SW(b_{-v}, f_{-v}) - SW(b_{-v}, f). It
+/// solves with the network simplex, as M2 does.
 SweepResult sweep_fresh(const core::Game& game, const core::BidVector& bids,
-                        const std::vector<core::PlayerId>& buyers,
-                        flow::SolverKind kind, int reps) {
+                        const std::vector<core::PlayerId>& buyers, int reps) {
+  constexpr auto kind = flow::SolverKind::kNetworkSimplex;
   const auto welfare_without = [&](core::PlayerId v,
                                    const flow::Circulation& flow) {
     return game.social_welfare(bids, flow) - game.player_value(v, bids, flow);
@@ -149,9 +150,8 @@ SweepResult sweep_fresh(const core::Game& game, const core::BidVector& bids,
 /// exclusion solves run on `executor` (nullptr: in turn on this thread).
 SweepResult sweep_reuse(const core::Game& game, const core::BidVector& bids,
                         const std::vector<core::PlayerId>& buyers,
-                        flow::SolverKind kind, flow::Executor* executor,
-                        int reps) {
-  const core::M2Vcg m2(kind);
+                        flow::Executor* executor, int reps) {
+  const core::M2Vcg m2;
   flow::SolveContext ctx;
   ctx.set_executor(executor);
   SweepResult r;
@@ -196,13 +196,10 @@ int main() {
     for (double& t : bids.tail) t = 0.0;  // M2's buyers-only profile
     const std::vector<core::PlayerId> buyers = buyer_set(game, bids);
     const int reps = short_mode ? 6 : (n <= 50 ? 40 : n <= 200 ? 20 : 4);
-    const auto kind = flow::SolverKind::kNetworkSimplex;  // M2's default
 
-    const SweepResult fresh = sweep_fresh(game, bids, buyers, kind, reps);
-    const SweepResult reuse =
-        sweep_reuse(game, bids, buyers, kind, nullptr, reps);
-    const SweepResult pooled =
-        sweep_reuse(game, bids, buyers, kind, &pool, reps);
+    const SweepResult fresh = sweep_fresh(game, bids, buyers, reps);
+    const SweepResult reuse = sweep_reuse(game, bids, buyers, nullptr, reps);
+    const SweepResult pooled = sweep_reuse(game, bids, buyers, &pool, reps);
     MUSK_ASSERT_MSG(
         fresh.prices == reuse.prices && fresh.checksum == reuse.checksum,
         "M2's prices diverged from the fresh path's");

@@ -43,7 +43,7 @@ Outcome HideSeek::run_impl(flow::SolveContext& ctx, const Game& game,
   // liquidity, not bid-weighted welfare.
   ctx.bind_from(HideSeekSource{game, bids});
   Outcome outcome;
-  outcome.circulation = ctx.solve(solver_);
+  outcome.circulation = ctx.solve();
   for (flow::CycleFlow& cycle : ctx.decompose(outcome.circulation)) {
     PricedCycle pc;  // fee-free execution
     pc.cycle = std::move(cycle);

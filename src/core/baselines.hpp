@@ -30,9 +30,6 @@ class NoRebalancing : public Mechanism {
 
 class HideSeek : public Mechanism {
  public:
-  explicit HideSeek(flow::SolverKind solver = flow::SolverKind::kNetworkSimplex)
-      : solver_(solver) {}
-
   std::string_view name() const override { return "hide-and-seek"; }
 
   /// Hide & Seek maximizes rebalanced liquidity over the depleted
@@ -43,9 +40,6 @@ class HideSeek : public Mechanism {
  protected:
   Outcome run_impl(flow::SolveContext& ctx, const Game& game,
                    const BidVector& bids) const override;
-
- private:
-  flow::SolverKind solver_;
 };
 
 class LocalRebalancing : public Mechanism {

@@ -27,8 +27,8 @@ struct M1Source {
 
 }  // namespace
 
-M1FixedFee::M1FixedFee(double fee_rate, double k, flow::SolverKind solver)
-    : fee_rate_(fee_rate), k_(k), solver_(solver) {
+M1FixedFee::M1FixedFee(double fee_rate, double k)
+    : fee_rate_(fee_rate), k_(k) {
   MUSK_ASSERT_MSG(fee_rate > 0.0, "fee rate must be positive");
   MUSK_ASSERT_MSG(k >= 1.0, "buyer-rate multiplier k must be >= 1");
   MUSK_ASSERT_MSG(k * fee_rate < kMaxFeeRate,
@@ -67,7 +67,7 @@ Outcome M1FixedFee::run_impl(flow::SolveContext& ctx, const Game& game,
   ctx.bind_from(M1Source{game, bids, fee_rate_, k_});
 
   Outcome outcome;
-  outcome.circulation = ctx.solve(solver_);
+  outcome.circulation = ctx.solve();
   for (flow::CycleFlow& cycle : ctx.decompose(outcome.circulation)) {
     // Seller fees: each indifferent edge's tail earns p_hat per unit.
     PricedCycle pc;

@@ -25,8 +25,7 @@ class M1FixedFee : public Mechanism {
  public:
   /// `fee_rate` is p_hat (> 0) and `k` >= 1 bounds the buyer rate at
   /// k * p_hat; k * fee_rate must stay below the 10% valuation bound.
-  M1FixedFee(double fee_rate, double k,
-             flow::SolverKind solver = flow::SolverKind::kNetworkSimplex);
+  M1FixedFee(double fee_rate, double k);
 
   std::string_view name() const override { return "M1-fixed-fee"; }
 
@@ -44,7 +43,6 @@ class M1FixedFee : public Mechanism {
  private:
   double fee_rate_;
   double k_;
-  flow::SolverKind solver_;
 };
 
 /// The self-selection step of Theorem 2: since p_hat and k are public,

@@ -14,15 +14,15 @@ constexpr double kTiny = 1e-12;
 
 }  // namespace
 
-M2MinFee::M2MinFee(double min_seller_fee, flow::SolverKind solver)
-    : min_seller_fee_(min_seller_fee), solver_(solver) {
+M2MinFee::M2MinFee(double min_seller_fee)
+    : min_seller_fee_(min_seller_fee) {
   MUSK_ASSERT_MSG(min_seller_fee >= 0.0 && min_seller_fee < kMaxFeeRate,
                   "seller fee floor must be a valid fee rate");
 }
 
 Outcome M2MinFee::run_impl(flow::SolveContext& ctx, const Game& game,
                            const BidVector& bids) const {
-  Outcome outcome = M2Vcg(solver_).run(ctx, game, bids);
+  Outcome outcome = M2Vcg().run(ctx, game, bids);
 
   // Tail bids are zero in M2's model; buyer stakes drive the top-ups.
   BidVector buyer_bids = bids;

@@ -26,9 +26,7 @@ namespace musketeer::core {
 
 class M2MinFee : public Mechanism {
  public:
-  explicit M2MinFee(
-      double min_seller_fee,
-      flow::SolverKind solver = flow::SolverKind::kNetworkSimplex);
+  explicit M2MinFee(double min_seller_fee);
 
   std::string_view name() const override { return "M2-minfee"; }
 
@@ -47,7 +45,6 @@ class M2MinFee : public Mechanism {
 
  private:
   double min_seller_fee_;
-  flow::SolverKind solver_;
 };
 
 }  // namespace musketeer::core

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "flow/executor.hpp"
+#include "flow/solver.hpp"
 #include "obs/obs.hpp"
 #include "util/assert.hpp"
 
@@ -33,14 +34,14 @@ double welfare_without(const Game& game, const BidVector& bids, PlayerId v,
 /// game's buyers-only graph. The buyers are dealt round-robin to one
 /// executor task per thread. Each task masks every buyer it holds on its
 /// own copy of the bound graph and re-solves the whole G_{-v} through its
-/// own workspace, so SolveContext stays single-threaded state. A price
-/// depends only on its own masked solve (reusing a workspace is
-/// bit-identical) and lands in its buyer's own slot, so prices are
-/// bit-identical to fresh G_{-v} solves at any thread count.
+/// own workspace with the network simplex, the solver of ctx.solve(), so
+/// SolveContext stays single-threaded state. A price depends only on its
+/// own masked solve (reusing a workspace is bit-identical) and lands in
+/// its buyer's own slot, so prices are bit-identical to fresh G_{-v}
+/// solves at any thread count.
 std::vector<double> exclusion_prices(flow::SolveContext& ctx,
                                      const Game& game, const BidVector& bids,
-                                     const flow::Circulation& f,
-                                     flow::SolverKind solver) {
+                                     const flow::Circulation& f) {
   // Only buyers (players with a positive head bid) are strategic and
   // priced; sellers are compensated by redistribution instead.
   std::vector<PlayerId> buyers;
@@ -67,12 +68,12 @@ std::vector<double> exclusion_prices(flow::SolveContext& ctx,
     flow::Workspace ws;
     flow::SavedCapacities saved;
     flow::SolveStats stats;
-    [[maybe_unused]] std::uint64_t solves = 0;
+    std::uint64_t solves = 0;
     for (std::size_t i = t; i < buyers.size(); i += tasks) {
       const PlayerId v = buyers[i];
       flow::mask_node(g, v, saved);
-      const flow::Circulation f_minus =
-          flow::solve_max_welfare(g, ws, solver, &stats, ctx.cancel());
+      const flow::Circulation f_minus = flow::solve_max_welfare(
+          g, ws, flow::SolverKind::kNetworkSimplex, &stats, ctx.cancel());
       flow::restore_capacities(g, saved);
       ++solves;
       prices[static_cast<std::size_t>(v)] =
@@ -104,8 +105,8 @@ std::vector<double> M2Vcg::vcg_prices(flow::SolveContext& ctx,
                                       const BidVector& raw_bids) const {
   const BidVector bids = buyers_only(raw_bids);
   game.bind_graph(ctx, bids);
-  const flow::Circulation f = ctx.solve(solver_);
-  return exclusion_prices(ctx, game, bids, f, solver_);
+  const flow::Circulation f = ctx.solve();
+  return exclusion_prices(ctx, game, bids, f);
 }
 
 Outcome M2Vcg::run_impl(flow::SolveContext& ctx, const Game& game,
@@ -115,9 +116,9 @@ Outcome M2Vcg::run_impl(flow::SolveContext& ctx, const Game& game,
 
   game.bind_graph(ctx, bids);
   Outcome outcome;
-  outcome.circulation = ctx.solve(solver_);
+  outcome.circulation = ctx.solve();
   const std::vector<double> aggregate =
-      exclusion_prices(ctx, game, bids, outcome.circulation, solver_);
+      exclusion_prices(ctx, game, bids, outcome.circulation);
   std::vector<flow::CycleFlow> cycles = ctx.decompose(outcome.circulation);
 
   // Per-player total bid value over the whole circulation (denominator of

@@ -25,9 +25,6 @@ namespace musketeer::core {
 
 class M2Vcg : public Mechanism {
  public:
-  explicit M2Vcg(flow::SolverKind solver = flow::SolverKind::kNetworkSimplex)
-      : solver_(solver) {}
-
   std::string_view name() const override { return "M2-vcg"; }
 
   /// M2's sellers are non-strategic: its guarantees (and hence the audit)
@@ -41,7 +38,8 @@ class M2Vcg : public Mechanism {
   /// Aggregate VCG pivot price of each player under the given bids (tail
   /// bids zeroed). Exposed for tests and the truthfulness bench. Each
   /// exclusion is an O(deg) capacity mask (flow::mask_node) on a copy of
-  /// the bound graph, re-solved whole — no per-buyer graph rebuilds. The
+  /// the bound graph, re-solved whole with the network simplex, the
+  /// solver of the full solve — no per-buyer graph rebuilds. The
   /// buyers are dealt round-robin to one task per thread of `ctx`'s
   /// executor, each with its own graph copy and workspace; `ctx` itself
   /// is never shared across threads. Prices are bit-identical to fresh
@@ -55,9 +53,6 @@ class M2Vcg : public Mechanism {
  protected:
   Outcome run_impl(flow::SolveContext& ctx, const Game& game,
                    const BidVector& bids) const override;
-
- private:
-  flow::SolverKind solver_;
 };
 
 }  // namespace musketeer::core

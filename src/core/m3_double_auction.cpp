@@ -26,7 +26,7 @@ Outcome M3DoubleAuction::run_impl(flow::SolveContext& ctx, const Game& game,
     game.bind_graph(ctx, bids);
   }
   Outcome outcome;
-  outcome.circulation = ctx.solve(solver_);
+  outcome.circulation = ctx.solve();
   std::vector<flow::CycleFlow> cycles = ctx.decompose(outcome.circulation);
   MUSK_OBS_SPAN(pricing_span, "core.pricing");
   for (flow::CycleFlow& cycle : cycles) {

@@ -17,18 +17,11 @@ namespace musketeer::core {
 
 class M3DoubleAuction : public Mechanism {
  public:
-  explicit M3DoubleAuction(
-      flow::SolverKind solver = flow::SolverKind::kNetworkSimplex)
-      : solver_(solver) {}
-
   std::string_view name() const override { return "M3-double-auction"; }
 
  protected:
   Outcome run_impl(flow::SolveContext& ctx, const Game& game,
                    const BidVector& bids) const override;
-
- private:
-  flow::SolverKind solver_;
 };
 
 /// Shared by M3 and M4: prices one cycle with the uniform welfare-share

@@ -7,9 +7,8 @@
 
 namespace musketeer::core {
 
-M4DelayedAuction::M4DelayedAuction(double delay_factor,
-                                   flow::SolverKind solver)
-    : delay_factor_(delay_factor), solver_(solver) {
+M4DelayedAuction::M4DelayedAuction(double delay_factor)
+    : delay_factor_(delay_factor) {
   MUSK_ASSERT_MSG(delay_factor > 0.0, "delay factor d must be positive");
 }
 
@@ -18,7 +17,7 @@ Outcome M4DelayedAuction::run_impl(flow::SolveContext& ctx, const Game& game,
   MUSK_ASSERT_MSG(game.is_valid(bids), "invalid bid vector");
   game.bind_graph(ctx, bids);
   Outcome outcome;
-  outcome.circulation = ctx.solve(solver_);
+  outcome.circulation = ctx.solve();
   for (flow::CycleFlow& cycle : ctx.decompose(outcome.circulation)) {
     PricedCycle pc;
     pc.prices = price_cycle_welfare_share(game, bids, cycle);

@@ -26,9 +26,7 @@ class M4DelayedAuction : public Mechanism {
   /// `delay_factor` is the paper's d > 0: the marginal utility of one
   /// unit of earlier release, and the normalizer mapping cycle welfare to
   /// release times.
-  explicit M4DelayedAuction(
-      double delay_factor,
-      flow::SolverKind solver = flow::SolverKind::kNetworkSimplex);
+  explicit M4DelayedAuction(double delay_factor);
 
   std::string_view name() const override { return "M4-delayed-auction"; }
 
@@ -40,7 +38,6 @@ class M4DelayedAuction : public Mechanism {
 
  private:
   double delay_factor_;
-  flow::SolverKind solver_;
 };
 
 }  // namespace musketeer::core

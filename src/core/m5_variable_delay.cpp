@@ -7,9 +7,8 @@
 
 namespace musketeer::core {
 
-M5VariableDelay::M5VariableDelay(std::vector<double> delay_factors,
-                                 flow::SolverKind solver)
-    : delay_factors_(std::move(delay_factors)), solver_(solver) {
+M5VariableDelay::M5VariableDelay(std::vector<double> delay_factors)
+    : delay_factors_(std::move(delay_factors)) {
   MUSK_ASSERT_MSG(!delay_factors_.empty(), "need at least one delay factor");
   for (double d : delay_factors_) {
     MUSK_ASSERT_MSG(d > 0.0, "delay factors must be positive");
@@ -24,7 +23,7 @@ Outcome M5VariableDelay::run_impl(flow::SolveContext& ctx, const Game& game,
                   "one delay factor per player required");
   game.bind_graph(ctx, bids);
   Outcome outcome;
-  outcome.circulation = ctx.solve(solver_);
+  outcome.circulation = ctx.solve();
   for (flow::CycleFlow& cycle : ctx.decompose(outcome.circulation)) {
     PricedCycle pc;
     pc.prices = price_cycle_welfare_share(game, bids, cycle);

@@ -27,9 +27,7 @@ namespace musketeer::core {
 class M5VariableDelay : public Mechanism {
  public:
   /// One positive delay factor per player.
-  explicit M5VariableDelay(
-      std::vector<double> delay_factors,
-      flow::SolverKind solver = flow::SolverKind::kNetworkSimplex);
+  explicit M5VariableDelay(std::vector<double> delay_factors);
 
   std::string_view name() const override { return "M5-variable-delay"; }
 
@@ -41,7 +39,6 @@ class M5VariableDelay : public Mechanism {
 
  private:
   std::vector<double> delay_factors_;
-  flow::SolverKind solver_;
 };
 
 }  // namespace musketeer::core

@@ -13,11 +13,11 @@
 // violation report on the first breach.
 //
 // Every run threads through a flow::SolveContext, which pools the flow
-// graph and all solver scratch across invocations (see
-// flow/solve_context.hpp). The context-free overloads delegate to the
-// calling thread's flow::local_context(), so legacy call sites keep
-// working and still benefit from buffer reuse — results are bit-identical
-// either way.
+// graph and all solver scratch across invocations and solves with the
+// network simplex (see flow/solve_context.hpp). The context-free
+// overloads delegate to the calling thread's flow::local_context(), so
+// legacy call sites keep working and still benefit from buffer reuse —
+// results are bit-identical either way.
 #pragma once
 
 #include <string_view>
@@ -25,7 +25,6 @@
 #include "core/game.hpp"
 #include "core/outcome.hpp"
 #include "flow/solve_context.hpp"
-#include "flow/solver.hpp"
 
 #if defined(MUSKETEER_AUDIT)
 #include "check/audit_hook.hpp"

@@ -293,11 +293,6 @@ class NetworkSimplex {
 
 }  // namespace
 
-Circulation solve_network_simplex(const Graph& g, SolveStats* stats) {
-  Workspace ws;
-  return solve_network_simplex(g, ws, stats);
-}
-
 Circulation solve_network_simplex(const Graph& g, Workspace& ws,
                                   SolveStats* stats,
                                   util::CancelToken* cancel) {

@@ -31,14 +31,15 @@ namespace musketeer::flow {
 
 /// Solves max sum(gain_e * f_e) over feasible circulations via network
 /// simplex. Stats (when given) count pivots and zero-flow certificates.
-Circulation solve_network_simplex(const Graph& g, SolveStats* stats = nullptr);
-
-/// Scratch-reusing variant (bit-identical result): the basis, tree and
-/// potential buffers live in `ws` and are reused across solves. The full
-/// Workspace is taken (not just SimplexScratch) so the zero-flow
-/// certificate and the pivot-cap fallback can reuse the Bellman–Ford
-/// scratch too. `cancel` is checked before the certificate and once per
-/// pivot (and forwarded into the fallback canceller).
+/// The basis, tree and potential buffers live in `ws` and are reused
+/// across solves. The full Workspace is taken (not just SimplexScratch)
+/// so the zero-flow certificate and the pivot-cap fallback can reuse the
+/// Bellman–Ford scratch too. `cancel` is checked before the certificate
+/// and once per pivot (and forwarded into the fallback canceller).
+///
+/// This is the one network simplex entry point. Callers without a
+/// workspace go through solve_max_welfare(g, SolverKind::kNetworkSimplex),
+/// which allocates one and also asserts the result feasible.
 Circulation solve_network_simplex(const Graph& g, Workspace& ws,
                                   SolveStats* stats = nullptr,
                                   util::CancelToken* cancel = nullptr);

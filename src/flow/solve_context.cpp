@@ -7,28 +7,6 @@
 
 namespace musketeer::flow {
 
-namespace {
-
-const char* solver_kind_name(SolverKind kind) {
-  switch (kind) {
-    case SolverKind::kBellmanFord: return "bellman_ford";
-    case SolverKind::kNetworkSimplex: return "network_simplex";
-  }
-  return "unknown";
-}
-
-/// Static span names so Event can store them by pointer. (Unused when
-/// the MUSK_OBS_SPAN macro compiles to nothing.)
-[[maybe_unused]] const char* solve_span_name(SolverKind kind) {
-  switch (kind) {
-    case SolverKind::kBellmanFord: return "flow.solve/bellman_ford";
-    case SolverKind::kNetworkSimplex: return "flow.solve/network_simplex";
-  }
-  return "flow.solve/unknown";
-}
-
-}  // namespace
-
 void SolveContext::count_components() {
   // Union over every edge, capacity-0 included: a depleted or masked
   // edge still occupies its arc slot in the network simplex basis.
@@ -65,10 +43,9 @@ void SolveContext::count_components() {
   }
 }
 
-Circulation SolveContext::solve(SolverKind kind, SolveStats* stats) {
+Circulation SolveContext::solve(SolveStats* stats) {
   MUSK_ASSERT_MSG(bound_, "SolveContext::solve before bind");
-  MUSK_OBS_SPAN(span, solve_span_name(kind));
-  span.set_detail(solver_kind_name(kind));
+  MUSK_OBS_SPAN(span, "flow.solve");
 
   // One task on executor() rather than a direct call, so an attached
   // executor still sees every solve as a batch: perfbench's timing
@@ -79,7 +56,8 @@ Circulation SolveContext::solve(SolverKind kind, SolveStats* stats) {
   SolveStats local;
   try {
     executor().run(1, [&](std::size_t) {
-      f = solve_max_welfare(graph_, ws_, kind, &local, cancel_);
+      f = solve_max_welfare(graph_, ws_, SolverKind::kNetworkSimplex, &local,
+                            cancel_);
     });
   } catch (const util::SolveCancelled&) {
     // All-or-nothing: the caller sees no result at all, and the next

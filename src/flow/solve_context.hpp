@@ -8,8 +8,9 @@
 //     currently bound graph (node count and per-edge endpoints), only
 //     capacities and gains are refreshed in place ("rebind", O(m), no
 //     allocation); otherwise the graph is rebuilt ("structure build").
-//   * solve(kind, stats)  — solve_max_welfare on the bound graph through
-//     the pooled workspace. SolveStats::graph_rebuilds reports how many
+//   * solve(stats)        — solve_max_welfare on the bound graph through
+//     the pooled workspace, with the network simplex: every mechanism
+//     solves with it. SolveStats::graph_rebuilds reports how many
 //     structure builds this context performed since its previous solve
 //     (0 on a warm rebind-only path).
 //
@@ -129,10 +130,10 @@ class SolveContext {
     return graph_;
   }
 
-  /// Runs solve_max_welfare on the bound graph through the pooled
-  /// workspace. Bit-identical to a solve on a fresh graph.
-  Circulation solve(SolverKind kind = SolverKind::kNetworkSimplex,
-                    SolveStats* stats = nullptr);
+  /// Runs solve_max_welfare with the network simplex on the bound graph
+  /// through the pooled workspace. Bit-identical to a solve on a fresh
+  /// graph.
+  Circulation solve(SolveStats* stats = nullptr);
 
   /// Sign-consistent decomposition of `f` on the bound graph through the
   /// pooled scratch.

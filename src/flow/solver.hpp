@@ -19,10 +19,12 @@
 // against each other, against the LP simplex encoder, and against the
 // negative-residual-cycle optimality certificate (is_optimal).
 //
-// Every solver has two entry points: the original allocating form and a
-// Workspace-taking form that pools all scratch (residual arc lists,
-// distance tables, simplex bases) in a caller-owned Workspace. The two
-// are bit-identical — the workspace form merely reuses buffers.
+// solve_max_welfare has two entry points: the original allocating form
+// and a Workspace-taking form that pools all scratch (residual arc
+// lists, distance tables, simplex bases) in a caller-owned Workspace. The
+// two are bit-identical — the workspace form merely reuses buffers. Every
+// mechanism solves with the network simplex, through
+// flow::SolveContext::solve or, for M2's exclusions, the workspace form.
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "util/assert.hpp"
+#include "util/bench_json.hpp"
 #include "util/table.hpp"
 
 namespace musketeer::obs {
@@ -220,19 +221,6 @@ namespace {
 /// %.17g round-trips every double (same convention as sim/metrics_io).
 std::string num(double v) { return util::format("%.17g", v); }
 
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-}
-
 /// Prometheus metric names: dots and dashes become underscores.
 std::string prom_name(const std::string& name) {
   std::string out = name;
@@ -250,16 +238,16 @@ std::string Registry::to_json() const {
   for (const auto& [name, entry] : entries_) {
     if (entry.counter) {
       if (!counters.empty()) counters += ", ";
-      append_json_string(counters, name);
-      counters += ": " + std::to_string(entry.counter->value());
+      counters += '"' + util::json_escape(name) +
+                  "\": " + std::to_string(entry.counter->value());
     } else if (entry.gauge) {
       if (!gauges.empty()) gauges += ", ";
-      append_json_string(gauges, name);
-      gauges += ": " + num(entry.gauge->value());
+      gauges += '"' + util::json_escape(name) +
+                "\": " + num(entry.gauge->value());
     } else if (entry.histogram) {
       const HistogramSnapshot snap = entry.histogram->snapshot();
       if (!histograms.empty()) histograms += ", ";
-      append_json_string(histograms, name);
+      histograms += '"' + util::json_escape(name) + '"';
       histograms += util::format(
           ": {\"count\": %llu, \"sum\": %s, \"min\": %s, \"max\": %s, "
           "\"mean\": %s, \"p50\": %s, \"p90\": %s, \"p99\": %s}",

@@ -20,11 +20,9 @@
 //   * Shards are owned by the Histogram, not the recording thread: a
 //     worker that exits leaves its counts behind, so a drain after the
 //     workers joined still sees every sample.
-//   * Everything here works whether or not -DMUSKETEER_OBS is defined;
-//     the compile definition only gates the *instrumentation macros*
-//     (obs/obs.hpp) that the hot paths use. Code that uses a Histogram
-//     as a data structure (musk_loadgen's percentiles) calls it
-//     directly and is unaffected by the switch.
+//   * Hot paths record through the instrumentation macros
+//     (obs/obs.hpp). Code that uses a Histogram as a data structure
+//     (musk_loadgen's percentiles) calls it directly.
 //
 // Histogram buckets are base-2 log-scale with kSubBuckets linear
 // sub-buckets per octave: relative quantile error is bounded by

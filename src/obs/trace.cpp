@@ -4,6 +4,7 @@
 #include <memory>
 #include <mutex>
 
+#include "util/bench_json.hpp"
 #include "util/table.hpp"
 
 namespace musketeer::obs::trace {
@@ -70,13 +71,6 @@ std::uint64_t steady_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-void escape_into(std::string& out, const char* s) {
-  for (; *s; ++s) {
-    if (*s == '"' || *s == '\\') out += '\\';
-    out += *s;
-  }
 }
 
 }  // namespace
@@ -148,7 +142,7 @@ std::size_t write_chrome_json(std::ostream& out) {
     if (!first) body += ",";
     first = false;
     body += "\n{\"name\": \"";
-    escape_into(body, e.name);
+    body += util::json_escape(e.name);
     body += util::format(
         "\", \"cat\": \"musketeer\", \"ph\": \"X\", "
         "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": %u",
@@ -165,7 +159,7 @@ std::size_t write_chrome_json(std::ostream& out) {
       if (e.detail[0] != '\0') {
         if (!first_arg) body += ", ";
         body += "\"detail\": \"";
-        escape_into(body, e.detail);
+        body += util::json_escape(e.detail);
         body += "\"";
       }
       body += "}";

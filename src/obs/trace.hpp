@@ -11,8 +11,7 @@
 //   * A Span always *measures* (its constructor reads the monotonic
 //     clock) — seconds() works whether or not tracing is enabled — but
 //     only *emits* a trace event when tracing was enabled at
-//     construction. Under -DMUSKETEER_OBS=OFF the MUSK_OBS_SPAN macros
-//     expand to nothing and code that needs the duration anyway (the
+//     construction. Code that needs a duration without a span (the
 //     service's clear_seconds) uses obs::Timer directly.
 //   * Rings are per-thread (no cross-thread contention on the hot
 //     path), globally owned (events of exited threads survive until
@@ -33,8 +32,7 @@
 namespace musketeer::obs {
 
 /// Monotonic stopwatch; the sanctioned timing primitive for code that
-/// needs a duration (as opposed to a trace span). Always live,
-/// independent of MUSKETEER_OBS.
+/// needs a duration (as opposed to a trace span).
 class Timer {
  public:
   Timer() : start_(clock()) {}
@@ -115,7 +113,7 @@ class Span {
   /// Tags the span with the epoch it belongs to.
   void set_epoch(std::uint64_t epoch) { epoch_ = epoch; }
 
-  /// Short free-form annotation (solver kind, record type, ...).
+  /// Short free-form annotation (mechanism name, record type, ...).
   /// Truncated to the Event's inline buffer.
   void set_detail(const char* detail) {
     std::strncpy(detail_, detail, sizeof(detail_) - 1);

@@ -411,7 +411,7 @@ void Journal::append_degraded(int epoch, std::uint64_t pre_digest, int level,
 
 namespace {
 
-[[maybe_unused]] const char* record_type_name(RecordType type) {
+const char* record_type_name(RecordType type) {
   switch (type) {
     case RecordType::kBegin: return "begin";
     case RecordType::kOutcome: return "outcome";

@@ -132,8 +132,8 @@ pcn::ExtractedGame RebalanceService::extract_snapshot(
 
 EpochReport RebalanceService::run_epoch() {
   const util::OrderedLock epoch_lock(clear_mutex_);
-  // The authoritative clear_seconds clock: an obs::Timer, so the
-  // measurement survives -DMUSKETEER_OBS=OFF (spans report 0 there).
+  // The authoritative clear_seconds clock: one obs::Timer over the
+  // whole epoch, which the per-phase spans below split.
   const obs::Timer t0;
 
   EpochReport report;

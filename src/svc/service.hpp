@@ -188,8 +188,7 @@ struct EpochReport {
   /// across concurrently-traced daemons. 0 when tracing never ran.
   std::uint64_t trace_id = 0;
   /// Per-phase breakdown of clear_seconds, measured by the epoch
-  /// tracer's spans. All 0 when the build compiles observability out
-  /// (-DMUSKETEER_OBS=OFF) — clear_seconds itself is always measured.
+  /// tracer's spans (which measure whether or not tracing is on).
   double drain_seconds = 0.0;     ///< queue drain
   double snapshot_seconds = 0.0;  ///< extract_and_lock under network mutex
   double solve_seconds = 0.0;     ///< mechanism run (bind+solve+price)

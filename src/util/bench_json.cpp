@@ -7,8 +7,6 @@
 
 namespace musketeer::util {
 
-namespace {
-
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -30,6 +28,8 @@ std::string json_escape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 std::string json_number(double v) {
   char buf[32];

@@ -21,6 +21,12 @@
 
 namespace musketeer::util {
 
+/// `s` escaped for the inside of a JSON string literal (no surrounding
+/// quotes): `"`, `\`, newline and tab get their short escapes, every
+/// other control character becomes \u00XX. The one JSON escaper: bench
+/// reports, the metrics registry and the trace writer all use it.
+std::string json_escape(const std::string& s);
+
 class BenchReport {
  public:
   /// `name` becomes the file stem: BENCH_<name>.json.

@@ -12,9 +12,14 @@
 namespace musketeer::flow {
 namespace {
 
+/// The network simplex through the dispatch, which also asserts feasibility.
+Circulation solve_ns(const Graph& g, SolveStats* stats = nullptr) {
+  return solve_max_welfare(g, SolverKind::kNetworkSimplex, stats);
+}
+
 TEST(NetworkSimplexTest, EmptyGraph) {
   Graph g(4);
-  EXPECT_EQ(total_volume(solve_network_simplex(g)), 0);
+  EXPECT_EQ(total_volume(solve_ns(g)), 0);
 }
 
 TEST(NetworkSimplexTest, SaturatesProfitableCycle) {
@@ -22,7 +27,7 @@ TEST(NetworkSimplexTest, SaturatesProfitableCycle) {
   g.add_edge(0, 1, 7, 0.03);
   g.add_edge(1, 2, 9, -0.01);
   g.add_edge(2, 0, 8, 0.0);
-  const Circulation f = solve_network_simplex(g);
+  const Circulation f = solve_ns(g);
   EXPECT_EQ(f, (Circulation{7, 7, 7}));
   EXPECT_TRUE(is_optimal(g, f));
 }
@@ -32,7 +37,7 @@ TEST(NetworkSimplexTest, LeavesUnprofitableCyclesAlone) {
   g.add_edge(0, 1, 5, 0.01);
   g.add_edge(1, 2, 5, -0.02);
   g.add_edge(2, 0, 5, 0.0);
-  EXPECT_EQ(total_volume(solve_network_simplex(g)), 0);
+  EXPECT_EQ(total_volume(solve_ns(g)), 0);
 }
 
 TEST(NetworkSimplexTest, CompetingBuyersResolvedByBid) {
@@ -42,7 +47,7 @@ TEST(NetworkSimplexTest, CompetingBuyersResolvedByBid) {
   g.add_edge(0, 2, 10, 0.0);
   const EdgeId buyer_b = g.add_edge(3, 1, 10, 0.01);
   g.add_edge(1, 2, 10, 0.0);
-  const Circulation f = solve_network_simplex(g);
+  const Circulation f = solve_ns(g);
   EXPECT_EQ(f[static_cast<std::size_t>(shared)], 5);
   EXPECT_EQ(f[static_cast<std::size_t>(buyer_a)], 5);
   EXPECT_EQ(f[static_cast<std::size_t>(buyer_b)], 0);
@@ -54,7 +59,7 @@ TEST(NetworkSimplexTest, ReportsPivotStats) {
   g.add_edge(1, 2, 9, -0.01);
   g.add_edge(2, 0, 8, 0.0);
   SolveStats stats;
-  solve_network_simplex(g, &stats);
+  solve_ns(g, &stats);
   EXPECT_GE(stats.pivots, 1);
   EXPECT_EQ(stats.cycles_cancelled, 0);
   EXPECT_EQ(stats.zero_flow_certified, 0);
@@ -69,7 +74,7 @@ TEST(NetworkSimplexTest, QuiescentGameCertifiedWithoutPivots) {
   g.add_edge(1, 2, 5, -0.02);
   g.add_edge(2, 0, 5, 0.0);
   SolveStats stats;
-  EXPECT_EQ(solve_network_simplex(g, &stats), zero_circulation(g));
+  EXPECT_EQ(solve_ns(g, &stats), zero_circulation(g));
   EXPECT_EQ(stats.pivots, 0);
   EXPECT_EQ(stats.zero_flow_certified, 1);
 }
@@ -100,7 +105,7 @@ TEST_P(NetworkSimplexRandomTest, AgreesWithBellmanFordExactly) {
     if (u == v) v = static_cast<NodeId>((v + 1) % n);
     g.add_edge(u, v, rng.uniform_int(1, 30), rng.uniform_real(-0.05, 0.05));
   }
-  const Circulation f_ns = solve_network_simplex(g);
+  const Circulation f_ns = solve_ns(g);
   const Circulation f_bf = solve_max_welfare(g, SolverKind::kBellmanFord);
   ASSERT_TRUE(is_feasible(g, f_ns));
   EXPECT_TRUE(is_optimal(g, f_ns)) << "no exact optimality certificate";
@@ -116,7 +121,7 @@ TEST(NetworkSimplexTest, LightningScaleGameSolves) {
   config.depleted_share = 0.3;
   const core::Game game = gen::random_ba_game(256, 2, config, rng);
   const Graph g = game.build_graph(game.truthful_bids());
-  const Circulation f = solve_network_simplex(g);
+  const Circulation f = solve_ns(g);
   EXPECT_TRUE(is_optimal(g, f));
 }
 
@@ -200,7 +205,7 @@ TEST(NetworkSimplexTest, DegenerateManyZeroCapacityEdges) {
   g.add_edge(2, 0, 0, 0.05);
   g.add_edge(0, 3, 5, 0.02);
   g.add_edge(3, 0, 5, 0.0);
-  const Circulation f = solve_network_simplex(g);
+  const Circulation f = solve_ns(g);
   EXPECT_TRUE(is_optimal(g, f));
   EXPECT_EQ(f[3], 5);
   EXPECT_EQ(f[4], 5);

@@ -1,9 +1,9 @@
 // Workspace-reuse equivalence: one SolveContext driven through many
 // randomized games must return circulations and decompositions
-// bit-identical to a flat whole-graph solve on a fresh graph and
+// bit-identical to a flat network simplex solve on a fresh graph and
 // workspace, with exact rebuild accounting — including gains-only
-// rebinds. Also pins flow::mask_node to the paper's G_{-v}, and the
-// context's weakly-connected component count against a BFS reference.
+// rebinds. Also pins flow::mask_node to the paper's G_{-v} under both
+// solvers, and the context's component count against a BFS reference.
 #include "flow/solve_context.hpp"
 
 #include <gtest/gtest.h>
@@ -30,13 +30,12 @@ void expect_same_cycles(const std::vector<CycleFlow>& got,
   }
 }
 
-class SolveContextEquivalenceTest
-    : public ::testing::TestWithParam<SolverKind> {};
+// The context always solves with the network simplex.
+constexpr SolverKind kSimplex = SolverKind::kNetworkSimplex;
 
 // The headline satellite: 100 randomized games of varying size through
 // ONE reused context, each checked bit-for-bit against a fresh solve.
-TEST_P(SolveContextEquivalenceTest, HundredRandomGamesBitIdentical) {
-  const SolverKind kind = GetParam();
+TEST(SolveContextEquivalenceTest, HundredRandomGamesBitIdentical) {
   util::Rng rng(0xC0FFEE);
   SolveContext ctx;
   long long graph_builds = 0;
@@ -49,14 +48,15 @@ TEST_P(SolveContextEquivalenceTest, HundredRandomGamesBitIdentical) {
 
     const Graph fresh = game.build_graph(bids);
     SolveStats fresh_stats;
-    const Circulation f_fresh = solve_max_welfare(fresh, kind, &fresh_stats);
+    const Circulation f_fresh =
+        solve_max_welfare(fresh, kSimplex, &fresh_stats);
     const auto cycles_fresh = decompose_sign_consistent(fresh, f_fresh);
 
     const long long builds_before = ctx.stats().structure_builds;
     game.bind_graph(ctx, bids);
     graph_builds += ctx.stats().structure_builds - builds_before;
     SolveStats ctx_stats;
-    const Circulation f_ctx = ctx.solve(kind, &ctx_stats);
+    const Circulation f_ctx = ctx.solve(&ctx_stats);
 
     // BA games are connected: one component. The context solves the
     // bound graph itself, so even the solver's work counters match.
@@ -79,8 +79,7 @@ TEST_P(SolveContextEquivalenceTest, HundredRandomGamesBitIdentical) {
 
 // Same topology, fresh bids each round: after the first build every
 // bind must take the in-place rebind path and report zero rebuilds.
-TEST_P(SolveContextEquivalenceTest, StableTopologyRebindsOnly) {
-  const SolverKind kind = GetParam();
+TEST(SolveContextEquivalenceTest, StableTopologyRebindsOnly) {
   util::Rng rng(42);
   gen::GameConfig config;
   const gen::Topology topology = gen::barabasi_albert(24, 2, rng);
@@ -90,12 +89,12 @@ TEST_P(SolveContextEquivalenceTest, StableTopologyRebindsOnly) {
     const core::BidVector bids = game.truthful_bids();
     game.bind_graph(ctx, bids);
     SolveStats stats;
-    const Circulation f_ctx = ctx.solve(kind, &stats);
+    const Circulation f_ctx = ctx.solve(&stats);
     // Only the first bind builds the graph.
     EXPECT_EQ(stats.graph_rebuilds, round == 0 ? 1 : 0) << "round " << round;
 
     const Graph fresh = game.build_graph(bids);
-    EXPECT_EQ(f_ctx, solve_max_welfare(fresh, kind)) << "round " << round;
+    EXPECT_EQ(f_ctx, solve_max_welfare(fresh, kSimplex)) << "round " << round;
   }
   EXPECT_EQ(ctx.stats().structure_builds, 1);
   EXPECT_EQ(ctx.stats().rebinds, 19);
@@ -104,8 +103,7 @@ TEST_P(SolveContextEquivalenceTest, StableTopologyRebindsOnly) {
 // A gains-only rebind (same structure and capacities) must refresh the
 // bound graph in place and match a from-scratch graph carrying the same
 // gains.
-TEST_P(SolveContextEquivalenceTest, RebindGainsMatchesFreshGraph) {
-  const SolverKind kind = GetParam();
+TEST(SolveContextEquivalenceTest, RebindGainsMatchesFreshGraph) {
   util::Rng rng(7);
   gen::GameConfig config;
   const core::Game game = gen::random_ba_game(20, 2, config, rng);
@@ -113,7 +111,7 @@ TEST_P(SolveContextEquivalenceTest, RebindGainsMatchesFreshGraph) {
 
   SolveContext ctx;
   game.bind_graph(ctx, bids);
-  ctx.solve(kind);
+  ctx.solve();
 
   for (int round = 0; round < 10; ++round) {
     // Graph gains are tail + head bids, so a zero head bid carries the
@@ -130,14 +128,19 @@ TEST_P(SolveContextEquivalenceTest, RebindGainsMatchesFreshGraph) {
       fresh.set_gain(e, regained.tail[static_cast<std::size_t>(e)]);
     }
     SolveStats stats;
-    EXPECT_EQ(ctx.solve(kind, &stats), solve_max_welfare(fresh, kind));
+    EXPECT_EQ(ctx.solve(&stats), solve_max_welfare(fresh, kSimplex));
     EXPECT_EQ(stats.graph_rebuilds, 0);
   }
 }
 
 // mask_node must reproduce build_graph_without (the paper's G_{-v})
-// exactly, for every player, and restore_capacities must undo it.
-TEST_P(SolveContextEquivalenceTest, MaskPlayerMatchesBuildWithout) {
+// exactly, for every player, and restore_capacities must undo it. No
+// context is involved, so this runs under both solver kinds: it is also
+// where Bellman–Ford's workspace reuse is checked.
+class MaskNodeEquivalenceTest
+    : public ::testing::TestWithParam<SolverKind> {};
+
+TEST_P(MaskNodeEquivalenceTest, MaskPlayerMatchesBuildWithout) {
   const SolverKind kind = GetParam();
   util::Rng rng(99);
   gen::GameConfig config;
@@ -164,7 +167,7 @@ TEST_P(SolveContextEquivalenceTest, MaskPlayerMatchesBuildWithout) {
   EXPECT_EQ(solve_max_welfare(g, ws, kind), f_full);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSolvers, SolveContextEquivalenceTest,
+INSTANTIATE_TEST_SUITE_P(AllSolvers, MaskNodeEquivalenceTest,
                          ::testing::Values(SolverKind::kBellmanFord,
                                            SolverKind::kNetworkSimplex));
 

@@ -1,15 +1,14 @@
-// The observability gate: instrumentation must never change what the
-// system computes. Two angles, both valid in either build flavor:
+// The observability gate: the instruments record what they are given,
+// and instrumentation never changes what the system computes.
 //
-//   * Macro gating — under -DMUSKETEER_OBS=OFF the MUSK_OBS_* macros
-//     expand to nothing and their arguments are never evaluated; under
-//     ON they hit the global registry. (The residual runtime cost of
-//     the OFF expansion is gated at 1.05x in bench/svc_throughput.)
+//   * Recording — each MUSK_OBS_* macro evaluates its argument once and
+//     registers its instrument in the global registry; a span measures
+//     a non-negative duration. (bench/svc_throughput section (f)
+//     reports what each macro costs.)
 //   * Outcome invariance — a deterministic service run settles to the
 //     same network digest with tracing enabled as with it disabled.
-//     Combined with the digest-equality tests in tests/svc running in
-//     an OBS=OFF build, this pins the acceptance claim that the switch
-//     is bit-identical on outcomes.
+//   * Counting — M2's exclusion solves, which bypass
+//     SolveContext::solve, still count themselves.
 #include <cstdint>
 #include <set>
 #include <string>
@@ -31,11 +30,10 @@
 namespace musketeer::obs {
 namespace {
 
-TEST(ObsGate, MacrosAreCompiledOutWhenDisabled) {
-  bool evaluated = false;
-  // Unused when the macros compile out, which is the point.
-  [[maybe_unused]] const auto touch = [&evaluated] {
-    evaluated = true;
+TEST(ObsGate, MacrosEvaluateArgumentsAndRegisterInstruments) {
+  int evaluated = 0;
+  const auto touch = [&evaluated] {
+    ++evaluated;
     return 1.0;
   };
   MUSK_OBS_COUNT("test.gate.touch_total", static_cast<std::uint64_t>(touch()));
@@ -47,18 +45,11 @@ TEST(ObsGate, MacrosAreCompiledOutWhenDisabled) {
   const double secs = span.end();
 
   const std::string json = registry().to_json();
-#ifdef MUSKETEER_OBS
-  EXPECT_TRUE(evaluated);
+  EXPECT_EQ(evaluated, 3);
   EXPECT_GE(secs, 0.0);
   EXPECT_NE(json.find("test.gate.touch_total"), std::string::npos);
   EXPECT_NE(json.find("test.gate.level"), std::string::npos);
   EXPECT_NE(json.find("test.gate.wait_seconds"), std::string::npos);
-#else
-  // Arguments unevaluated, registry untouched, span inert.
-  EXPECT_FALSE(evaluated);
-  EXPECT_EQ(secs, 0.0);
-  EXPECT_EQ(json.find("test.gate."), std::string::npos);
-#endif
 }
 
 TEST(ObsGate, TracingDoesNotPerturbSettlement) {
@@ -85,10 +76,8 @@ TEST(ObsGate, TracingDoesNotPerturbSettlement) {
   const std::uint64_t traced = run();
   trace::stop();
 
-#ifdef MUSKETEER_OBS
   // The traced run actually recorded the epoch spans it claims to.
   EXPECT_FALSE(trace::drain().empty());
-#endif
   trace::clear();
 
   EXPECT_EQ(quiet, traced);
@@ -115,11 +104,7 @@ TEST(ObsGate, VcgExclusionSolvesAreCounted) {
   const Counter& solves = registry().counter("core.vcg.exclusion_solves_total");
   const std::uint64_t before = solves.value();
   core::M2Vcg().vcg_prices(ctx, game, bids);
-#ifdef MUSKETEER_OBS
   EXPECT_EQ(solves.value() - before, buyers.size());
-#else
-  EXPECT_EQ(solves.value(), before);
-#endif
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Registry semantics: stable references, exact concurrent counting,
 // registration races under tsan, and export formats (JSON round-trip
 // structure, Prometheus text exposition conventions).
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -116,6 +117,19 @@ TEST(Registry, JsonSnapshotStructure) {
     ASSERT_GE(depth, 0);
   }
   EXPECT_EQ(depth, 0);
+}
+
+// A tab in a name comes out as \t, any other control character as \u00XX.
+TEST(Registry, JsonEscapesControlCharacters) {
+  Registry reg;
+  reg.counter("test.json.tab\there_total").add(1);
+  reg.gauge("test.json.bell\x01level").set(2.0);
+  const std::string json = reg.to_json();
+  EXPECT_NE(json.find("\"test.json.tab\\there_total\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"test.json.bell\\u0001level\": 2"), std::string::npos);
+  EXPECT_TRUE(std::none_of(json.begin(), json.end(), [](char c) {
+    return static_cast<unsigned char>(c) < 0x20;
+  })) << json;
 }
 
 TEST(Registry, PrometheusExposition) {

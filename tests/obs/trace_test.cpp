@@ -148,6 +148,22 @@ TEST_F(TraceTest, ChromeJsonSchema) {
   EXPECT_EQ(brackets, 0);
 }
 
+// A tab comes out as \t and any other control character as \u00XX; only
+// the writer's own line breaks between events stay raw.
+TEST_F(TraceTest, ChromeJsonEscapesControlCharacters) {
+  trace::start();
+  Span("test.json\tname").set_detail("d\x1f");
+  trace::stop();
+  std::ostringstream out;
+  EXPECT_EQ(trace::write_chrome_json(out), 1u);
+  const std::string json = out.str();
+  EXPECT_NE(json.find("\"name\": \"test.json\\tname\""), std::string::npos);
+  EXPECT_NE(json.find("\"detail\": \"d\\u001f\""), std::string::npos);
+  EXPECT_TRUE(std::none_of(json.begin(), json.end(), [](char c) {
+    return c != '\n' && static_cast<unsigned char>(c) < 0x20;
+  })) << json;
+}
+
 TEST_F(TraceTest, EventsFromExitedThreadsSurvive) {
   trace::start();
   {

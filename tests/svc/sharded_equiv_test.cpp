@@ -1,6 +1,6 @@
 // Thread-count equivalence: a SolveContext with a worker pool attached
-// gives results BIT-identical to a flat whole-graph solve — circulations
-// against the flat solve_max_welfare for both solver kinds, M3's priced
+// gives results BIT-identical to a flat whole-graph network simplex
+// solve — circulations against the flat solve_max_welfare, M3's priced
 // cycles against whole-graph M3, VCG prices against whole-graph G_{-v}
 // solves (compared at the bit level, not within a tolerance), and
 // SolveStats counters — at every thread count; and every mechanism's
@@ -87,13 +87,17 @@ core::Game clustered_game(int clusters, flow::NodeId nodes_per_cluster,
   return merged;
 }
 
-/// M3 priced the slow way: one flat solve of the whole graph with
-/// `kind`, the whole-graph decomposition, and M3's welfare-share pricing.
-core::Outcome whole_graph_m3(const core::Game& game, flow::SolverKind kind) {
+/// Every mechanism solves with the network simplex; the flat references
+/// name it explicitly.
+constexpr flow::SolverKind kSimplex = flow::SolverKind::kNetworkSimplex;
+
+/// M3 priced the slow way: one flat solve of the whole graph, the
+/// whole-graph decomposition, and M3's welfare-share pricing.
+core::Outcome whole_graph_m3(const core::Game& game) {
   const core::BidVector bids = game.truthful_bids();
   const flow::Graph g = game.build_graph(bids);
   core::Outcome outcome;
-  outcome.circulation = flow::solve_max_welfare(g, kind);
+  outcome.circulation = flow::solve_max_welfare(g, kSimplex);
   for (flow::CycleFlow& cycle :
        flow::decompose_sign_consistent(g, outcome.circulation)) {
     core::PricedCycle pc;
@@ -105,14 +109,13 @@ core::Outcome whole_graph_m3(const core::Game& game, flow::SolverKind kind) {
 }
 
 /// M2's VCG prices the slow way: G_{-v} built whole for every buyer,
-/// solved flat with `kind`, priced by the same welfare difference
+/// solved flat, priced by the same welfare difference
 ///     p(v) = SW(b_{-v}, f_{-v}) - SW(b_{-v}, f).
-std::vector<double> whole_graph_vcg_prices(const core::Game& game,
-                                           flow::SolverKind kind) {
+std::vector<double> whole_graph_vcg_prices(const core::Game& game) {
   core::BidVector bids = game.truthful_bids();
   for (double& t : bids.tail) t = 0.0;  // M2's sellers are non-strategic
   const flow::Circulation f =
-      flow::solve_max_welfare(game.build_graph(bids), kind);
+      flow::solve_max_welfare(game.build_graph(bids), kSimplex);
   const auto welfare_without = [&](core::PlayerId v,
                                    const flow::Circulation& flow) {
     return game.social_welfare(bids, flow) - game.player_value(v, bids, flow);
@@ -128,7 +131,7 @@ std::vector<double> whole_graph_vcg_prices(const core::Game& game,
   for (core::PlayerId v = 0; v < game.num_players(); ++v) {
     if (!is_buyer[static_cast<std::size_t>(v)]) continue;
     const flow::Circulation f_minus =
-        flow::solve_max_welfare(game.build_graph_without(bids, v), kind);
+        flow::solve_max_welfare(game.build_graph_without(bids, v), kSimplex);
     prices[static_cast<std::size_t>(v)] =
         welfare_without(v, f_minus) - welfare_without(v, f);
   }
@@ -145,123 +148,103 @@ core::Game corpus_game(int round, util::Rng& rng) {
 
 class ShardedEquivalenceTest : public ::testing::TestWithParam<int> {};
 
-// 100 seeded games through M3 under both solver kinds: the run at the
-// parameterized thread count must reproduce the whole-graph M3 outcome
-// bit for bit.
+// 100 seeded games through M3: the run at the parameterized thread
+// count must reproduce the whole-graph M3 outcome bit for bit.
 TEST_P(ShardedEquivalenceTest, HundredGamesBitIdenticalM3) {
   const int threads = GetParam();
   ParallelExecutor executor(threads);
-  for (const flow::SolverKind kind :
-       {flow::SolverKind::kBellmanFord, flow::SolverKind::kNetworkSimplex}) {
-    const core::M3DoubleAuction mechanism(kind);
-    flow::SolveContext ctx;
-    ctx.set_executor(&executor);
-    util::Rng rng(0x5EED5);
-    for (int round = 0; round < 100; ++round) {
-      const core::Game game = corpus_game(round, rng);
-      expect_outcomes_identical(
-          mechanism.run_truthful(ctx, game), whole_graph_m3(game, kind),
-          "round " + std::to_string(round) + " solver " +
-              std::to_string(static_cast<int>(kind)) + " threads " +
-              std::to_string(threads));
-    }
+  const core::M3DoubleAuction mechanism;
+  flow::SolveContext ctx;
+  ctx.set_executor(&executor);
+  util::Rng rng(0x5EED5);
+  for (int round = 0; round < 100; ++round) {
+    const core::Game game = corpus_game(round, rng);
+    expect_outcomes_identical(mechanism.run_truthful(ctx, game),
+                              whole_graph_m3(game),
+                              "round " + std::to_string(round) + " threads " +
+                                  std::to_string(threads));
   }
 }
 
-// The same corpus under both solver kinds: the context's circulation
-// must equal the flat solve of the whole graph.
+// The same corpus: the context's circulation must equal the flat solve
+// of the whole graph.
 TEST_P(ShardedEquivalenceTest, CirculationsMatchWholeGraphSolve) {
   const int threads = GetParam();
   ParallelExecutor executor(threads);
-  for (const flow::SolverKind kind :
-       {flow::SolverKind::kBellmanFord, flow::SolverKind::kNetworkSimplex}) {
-    flow::SolveContext ctx;
-    ctx.set_executor(&executor);
-    util::Rng rng(0x5EED5);
-    for (int round = 0; round < 100; ++round) {
-      const core::Game game = corpus_game(round, rng);
-      const core::BidVector bids = game.truthful_bids();
-      game.bind_graph(ctx, bids);
-      EXPECT_EQ(ctx.solve(kind),
-                flow::solve_max_welfare(game.build_graph(bids), kind))
-          << "round " << round << " solver " << static_cast<int>(kind)
-          << " threads " << threads;
-    }
+  flow::SolveContext ctx;
+  ctx.set_executor(&executor);
+  util::Rng rng(0x5EED5);
+  for (int round = 0; round < 100; ++round) {
+    const core::Game game = corpus_game(round, rng);
+    const core::BidVector bids = game.truthful_bids();
+    game.bind_graph(ctx, bids);
+    EXPECT_EQ(ctx.solve(),
+              flow::solve_max_welfare(game.build_graph(bids), kSimplex))
+        << "round " << round << " threads " << threads;
   }
 }
 
-// Cross-mechanism, cross-solver matrix on a 4-component game. Under
-// every solver kind, M2's VCG prices (which M2-MinFee also charges)
-// must equal whole-graph G_{-v} solves, and every mechanism the service
-// can run must give the same outcome at the parameterized thread count
-// as with no executor attached (every task in turn on the calling
-// thread).
+// Cross-mechanism matrix on a 4-component game. M2's VCG prices (which
+// M2-MinFee also charges) must equal whole-graph G_{-v} solves, and
+// every mechanism the service can run must give the same outcome at the
+// parameterized thread count as with no executor attached (every task
+// in turn on the calling thread).
 TEST_P(ShardedEquivalenceTest, AllMechanismsAllSolversBitIdentical) {
   const int threads = GetParam();
   ParallelExecutor executor(threads);
   util::Rng rng(0xFACADE);
   const core::Game game = clustered_game(4, 12, rng);
+  const std::string where = "threads " + std::to_string(threads);
 
-  for (const flow::SolverKind kind :
-       {flow::SolverKind::kBellmanFord, flow::SolverKind::kNetworkSimplex}) {
-    const std::string where = "solver " +
-                              std::to_string(static_cast<int>(kind)) +
-                              " threads " + std::to_string(threads);
-    flow::SolveContext ctx;
-    ctx.set_executor(&executor);
-    const std::vector<double> prices =
-        core::M2Vcg(kind).vcg_prices(ctx, game, game.truthful_bids());
-    const std::vector<double> reference = whole_graph_vcg_prices(game, kind);
-    ASSERT_EQ(prices.size(), reference.size());
-    for (std::size_t v = 0; v < prices.size(); ++v) {
-      expect_bits_equal(prices[v], reference[v],
-                        "M2 " + where + " player " + std::to_string(v));
-    }
+  flow::SolveContext ctx;
+  ctx.set_executor(&executor);
+  const std::vector<double> prices =
+      core::M2Vcg().vcg_prices(ctx, game, game.truthful_bids());
+  const std::vector<double> reference = whole_graph_vcg_prices(game);
+  ASSERT_EQ(prices.size(), reference.size());
+  for (std::size_t v = 0; v < prices.size(); ++v) {
+    expect_bits_equal(prices[v], reference[v],
+                      "M2 " + where + " player " + std::to_string(v));
+  }
 
-    std::vector<std::unique_ptr<core::Mechanism>> mechanisms;
-    mechanisms.push_back(std::make_unique<core::M1FixedFee>(0.001, 3.0, kind));
-    mechanisms.push_back(std::make_unique<core::M2Vcg>(kind));
-    mechanisms.push_back(std::make_unique<core::M2MinFee>(0.001, kind));
-    mechanisms.push_back(std::make_unique<core::M3DoubleAuction>(kind));
-    mechanisms.push_back(std::make_unique<core::M4DelayedAuction>(1.0, kind));
-    for (const auto& mechanism : mechanisms) {
-      flow::SolveContext pooled;
-      pooled.set_executor(&executor);
-      flow::SolveContext inline_ctx;
-      const core::Outcome want = mechanism->run_truthful(inline_ctx, game);
-      const core::Outcome got = mechanism->run_truthful(pooled, game);
-      expect_outcomes_identical(
-          got, want, std::string(mechanism->name()) + " " + where);
-    }
+  std::vector<std::unique_ptr<core::Mechanism>> mechanisms;
+  mechanisms.push_back(std::make_unique<core::M1FixedFee>(0.001, 3.0));
+  mechanisms.push_back(std::make_unique<core::M2Vcg>());
+  mechanisms.push_back(std::make_unique<core::M2MinFee>(0.001));
+  mechanisms.push_back(std::make_unique<core::M3DoubleAuction>());
+  mechanisms.push_back(std::make_unique<core::M4DelayedAuction>(1.0));
+  for (const auto& mechanism : mechanisms) {
+    flow::SolveContext pooled;
+    pooled.set_executor(&executor);
+    flow::SolveContext inline_ctx;
+    const core::Outcome want = mechanism->run_truthful(inline_ctx, game);
+    const core::Outcome got = mechanism->run_truthful(pooled, game);
+    expect_outcomes_identical(got, want,
+                              std::string(mechanism->name()) + " " + where);
   }
 }
 
-// VCG prices compared directly against whole-graph G_{-v} solves, under
-// both solver kinds: the pool deals the buyers to its tasks differently
-// at every thread count, and each task reuses one masked graph copy and
-// one workspace across its buyers, yet every price must be the fresh
-// solve's.
+// VCG prices compared directly against whole-graph G_{-v} solves: the
+// pool deals the buyers to its tasks differently at every thread count,
+// and each task reuses one masked graph copy and one workspace across
+// its buyers, yet every price must be the fresh solve's.
 TEST_P(ShardedEquivalenceTest, VcgPricesBitIdentical) {
   const int threads = GetParam();
   ParallelExecutor executor(threads);
-  for (const flow::SolverKind kind :
-       {flow::SolverKind::kBellmanFord, flow::SolverKind::kNetworkSimplex}) {
-    util::Rng rng(0xABCD);
-    const core::M2Vcg mechanism(kind);
-    for (int round = 0; round < 10; ++round) {
-      const core::Game game = clustered_game(1 + round % 4, 10, rng);
-      flow::SolveContext ctx;
-      ctx.set_executor(&executor);
-      const std::vector<double> want = whole_graph_vcg_prices(game, kind);
-      const std::vector<double> got =
-          mechanism.vcg_prices(ctx, game, game.truthful_bids());
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t v = 0; v < got.size(); ++v) {
-        expect_bits_equal(got[v], want[v],
-                          "solver " + std::to_string(static_cast<int>(kind)) +
-                              " round " + std::to_string(round) + " player " +
-                              std::to_string(v));
-      }
+  util::Rng rng(0xABCD);
+  const core::M2Vcg mechanism;
+  for (int round = 0; round < 10; ++round) {
+    const core::Game game = clustered_game(1 + round % 4, 10, rng);
+    flow::SolveContext ctx;
+    ctx.set_executor(&executor);
+    const std::vector<double> want = whole_graph_vcg_prices(game);
+    const std::vector<double> got =
+        mechanism.vcg_prices(ctx, game, game.truthful_bids());
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t v = 0; v < got.size(); ++v) {
+      expect_bits_equal(got[v], want[v],
+                        "round " + std::to_string(round) + " player " +
+                            std::to_string(v));
     }
   }
 }
@@ -270,7 +253,7 @@ TEST_P(ShardedEquivalenceTest, VcgPricesBitIdentical) {
 // active BA game. The context solves the whole bound graph, as the flat
 // solve does, so the active component's gaining cycles defeat the
 // zero-flow certificate for both, and both report the same circulation
-// and the same solver work.
+// and the same simplex work.
 TEST_P(ShardedEquivalenceTest, QuiescentBesideActiveComponentMatchesFlatSolve) {
   const int threads = GetParam();
   ParallelExecutor executor(threads);
@@ -289,31 +272,25 @@ TEST_P(ShardedEquivalenceTest, QuiescentBesideActiveComponentMatchesFlatSolve) {
   merged.add_edge(base + 1, base + 2, 5, -0.02, 0.0);
   merged.add_edge(base + 2, base, 5, 0.0, 0.0);
   const core::BidVector bids = merged.truthful_bids();
+  const std::string where = "threads " + std::to_string(threads);
 
-  for (const flow::SolverKind kind :
-       {flow::SolverKind::kBellmanFord, flow::SolverKind::kNetworkSimplex}) {
-    const std::string where = "solver " +
-                              std::to_string(static_cast<int>(kind)) +
-                              " threads " + std::to_string(threads);
-    flow::SolveStats want_stats;
-    const flow::Circulation want = flow::solve_max_welfare(
-        merged.build_graph(bids), kind, &want_stats);
-    flow::SolveContext ctx;
-    ctx.set_executor(&executor);
-    merged.bind_graph(ctx, bids);
-    flow::SolveStats got_stats;
-    EXPECT_EQ(ctx.solve(kind, &got_stats), want) << where;
-    EXPECT_EQ(ctx.last_component_count(), 2) << where;
-    EXPECT_GT(flow::total_volume(want), 0) << where;
-    EXPECT_EQ(want_stats.zero_flow_certified, 0) << where;
-    EXPECT_EQ(got_stats.zero_flow_certified, want_stats.zero_flow_certified)
-        << where;
-    EXPECT_EQ(got_stats.pivots, want_stats.pivots) << where;
-    EXPECT_EQ(got_stats.cycles_cancelled, want_stats.cycles_cancelled)
-        << where;
-    EXPECT_EQ(got_stats.units_pushed, want_stats.units_pushed) << where;
-    EXPECT_EQ(got_stats.fallbacks, want_stats.fallbacks) << where;
-  }
+  flow::SolveStats want_stats;
+  const flow::Circulation want =
+      flow::solve_max_welfare(merged.build_graph(bids), kSimplex, &want_stats);
+  flow::SolveContext ctx;
+  ctx.set_executor(&executor);
+  merged.bind_graph(ctx, bids);
+  flow::SolveStats got_stats;
+  EXPECT_EQ(ctx.solve(&got_stats), want) << where;
+  EXPECT_EQ(ctx.last_component_count(), 2) << where;
+  EXPECT_GT(flow::total_volume(want), 0) << where;
+  EXPECT_EQ(want_stats.zero_flow_certified, 0) << where;
+  EXPECT_EQ(got_stats.zero_flow_certified, want_stats.zero_flow_certified)
+      << where;
+  EXPECT_EQ(got_stats.pivots, want_stats.pivots) << where;
+  EXPECT_EQ(got_stats.cycles_cancelled, want_stats.cycles_cancelled) << where;
+  EXPECT_EQ(got_stats.units_pushed, want_stats.units_pushed) << where;
+  EXPECT_EQ(got_stats.fallbacks, want_stats.fallbacks) << where;
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ShardedEquivalenceTest,
@@ -360,16 +337,15 @@ TEST(ShardedStatsTest, CountersSumAcrossComponents) {
   }
 
   flow::SolveStats want;
-  const flow::Circulation f_whole = flow::solve_max_welfare(
-      game.build_graph(bids), flow::SolverKind::kBellmanFord, &want);
+  const flow::Circulation f_whole =
+      flow::solve_max_welfare(game.build_graph(bids), kSimplex, &want);
 
   ParallelExecutor executor(4);
   flow::SolveContext sharded;
   sharded.set_executor(&executor);
   game.bind_graph(sharded, bids);
   flow::SolveStats got;
-  const flow::Circulation f_sharded =
-      sharded.solve(flow::SolverKind::kBellmanFord, &got);
+  const flow::Circulation f_sharded = sharded.solve(&got);
 
   EXPECT_EQ(f_sharded, f_whole);
   EXPECT_EQ(sharded.last_component_count(), 5);
@@ -377,7 +353,9 @@ TEST(ShardedStatsTest, CountersSumAcrossComponents) {
             *std::max_element(cluster_edges.begin(), cluster_edges.end()));
   // A 5-component game has cycles in more than one component, so a
   // "last component wins" regression would under-report here.
-  EXPECT_GT(want.cycles_cancelled, 0);
+  EXPECT_GT(want.pivots, 0);
+  EXPECT_EQ(got.pivots, want.pivots);
+  EXPECT_EQ(got.zero_flow_certified, want.zero_flow_certified);
   EXPECT_EQ(got.cycles_cancelled, want.cycles_cancelled);
   EXPECT_EQ(got.units_pushed, want.units_pushed);
   EXPECT_EQ(got.fallbacks, want.fallbacks);

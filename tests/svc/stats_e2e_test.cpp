@@ -79,11 +79,8 @@ TEST(StatsE2E, LiveSnapshotOverTheWire) {
   EXPECT_LE(after.imbalance_gini, 1.0);
   EXPECT_GE(after.uptime_seconds, mid.uptime_seconds);
 
-#ifdef MUSKETEER_OBS
-  // With instrumentation compiled in, the epoch left its mark on the
-  // registry the snapshot exports.
+  // The epoch left its mark on the registry the snapshot exports.
   EXPECT_NE(after.registry_json.find("svc.epoch.total"), std::string::npos);
-#endif
 
   // Stats responses must round-trip the wire codec exactly — including
   // the v4 solve-shape fields, pinned to distinct values so a codec

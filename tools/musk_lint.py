@@ -163,8 +163,8 @@ ADHOC_TIMING = re.compile(
     r"\b(?:steady_clock|high_resolution_clock|system_clock|Clock)"
     r"\s*::\s*now\s*\(")
 # The sanctioned home for cancellation-deadline clock reads (see the
-# header's own comment): deliberately not routed through obs::Timer so
-# MUSKETEER_OBS=OFF builds keep bit-identical cancellation behavior.
+# header's own comment). It cannot use obs::Timer: src/util sits below
+# src/obs, which links musketeer_util.
 DEADLINE_HEADER = Path("src/util/deadline.hpp")
 # Solvers may not own time at all: any clock type mention, any `::now(`
 # read (aliases included), or any Deadline construction / expiry check
