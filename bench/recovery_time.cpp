@@ -11,8 +11,9 @@
 //
 // then recovery is timed from the artifacts each run left behind:
 //
-//   genesis replay   open the plain journal + replay_journal() — what
-//                    every restart cost before checkpointing
+//   genesis replay   open the plain journal + snapshot store + recover()
+//                    — no snapshot, so replay from genesis: what every
+//                    restart cost before checkpointing
 //   tail recovery    open the ckpt journal + snapshot store + recover()
 //                    — decode the newest snapshot, replay only the tail
 //
@@ -187,11 +188,12 @@ int main() {
       pcn::Network network = genesis_network();
       const auto t0 = Clock::now();
       svc::Journal journal(plain_base);
+      const svc::SnapshotStore snapshots(plain_base);
       const svc::RecoveryReport rec =
-          replay_journal(journal, network, policy);
+          svc::recover(journal, snapshots, network, policy);
       const double s = seconds_since(t0);
       if (pass == 0 || s < genesis_s) genesis_s = s;
-      MUSK_ASSERT_MSG(rec.next_epoch == epochs &&
+      MUSK_ASSERT_MSG(!rec.from_snapshot && rec.next_epoch == epochs &&
                           network.state_digest() == final_digest,
                       "genesis replay diverged from the live run");
     }

@@ -208,6 +208,10 @@ std::int64_t Reader::i64() { return static_cast<std::int64_t>(u64()); }
 
 double Reader::f64() { return std::bit_cast<double>(u64()); }
 
+std::string_view Reader::bytes(std::size_t n) {
+  return {reinterpret_cast<const char*>(take(n)), n};
+}
+
 void Reader::expect_end() const {
   if (!done()) fail("trailing bytes after record");
 }
@@ -219,90 +223,6 @@ std::size_t Reader::check_count(std::uint64_t count,
     fail("element count exceeds payload size");
   }
   return static_cast<std::size_t>(count);
-}
-
-namespace {
-
-void check_version(Reader& in, const char* record) {
-  const std::uint16_t version = in.u16();
-  if (version != kBinaryVersion) {
-    throw CodecError(std::string("unsupported ") + record +
-                     " record version " + std::to_string(version));
-  }
-}
-
-}  // namespace
-
-void encode_game(const Game& game, std::string& out) {
-  put_u16(out, kBinaryVersion);
-  put_u32(out, static_cast<std::uint32_t>(game.num_players()));
-  put_u32(out, static_cast<std::uint32_t>(game.num_edges()));
-  for (const GameEdge& edge : game.edges()) {
-    put_u32(out, static_cast<std::uint32_t>(edge.from));
-    put_u32(out, static_cast<std::uint32_t>(edge.to));
-    put_i64(out, edge.capacity);
-    put_f64(out, edge.tail_valuation);
-    put_f64(out, edge.head_valuation);
-  }
-}
-
-Game decode_game(Reader& in) {
-  check_version(in, "game");
-  const std::uint32_t players = in.u32();
-  if (players > (1u << 26)) throw CodecError("implausible player count");
-  // Edge record: from u32 + to u32 + capacity i64 + two f64 = 32 bytes.
-  const std::size_t num_edges = in.check_count(in.u32(), 32);
-  Game game(static_cast<NodeId>(players));
-  for (std::size_t i = 0; i < num_edges; ++i) {
-    const std::uint32_t from = in.u32();
-    const std::uint32_t to = in.u32();
-    const std::int64_t capacity = in.i64();
-    const double tail = checked_finite(in.f64(), "tail valuation");
-    const double head = checked_finite(in.f64(), "head valuation");
-    if (from >= players || to >= players || from == to) {
-      throw CodecError("edge endpoints out of range");
-    }
-    if (capacity < 0) throw CodecError("negative capacity");
-    if (tail > 0.0 || tail <= -kMaxFeeRate) {
-      throw CodecError("tail valuation outside (-0.1, 0]");
-    }
-    if (head < 0.0 || head >= kMaxFeeRate) {
-      throw CodecError("head valuation outside [0, 0.1)");
-    }
-    game.add_edge(static_cast<NodeId>(from), static_cast<NodeId>(to),
-                  capacity, tail, head);
-  }
-  return game;
-}
-
-void encode_bids(const BidVector& bids, std::string& out) {
-  put_u16(out, kBinaryVersion);
-  put_u32(out, static_cast<std::uint32_t>(bids.size()));
-  for (std::size_t e = 0; e < bids.size(); ++e) {
-    put_f64(out, bids.tail[e]);
-    put_f64(out, bids.head[e]);
-  }
-}
-
-BidVector decode_bids(Reader& in) {
-  check_version(in, "bids");
-  const std::size_t n = in.check_count(in.u32(), 16);
-  BidVector bids;
-  bids.tail.reserve(n);
-  bids.head.reserve(n);
-  for (std::size_t e = 0; e < n; ++e) {
-    const double tail = checked_finite(in.f64(), "tail bid");
-    const double head = checked_finite(in.f64(), "head bid");
-    if (tail > 0.0 || tail <= -kMaxFeeRate) {
-      throw CodecError("tail bid outside (-0.1, 0]");
-    }
-    if (head < 0.0 || head >= kMaxFeeRate) {
-      throw CodecError("head bid outside [0, 0.1)");
-    }
-    bids.tail.push_back(tail);
-    bids.head.push_back(head);
-  }
-  return bids;
 }
 
 namespace {
@@ -350,7 +270,11 @@ void encode_outcome(const Outcome& outcome, std::string& out) {
 }
 
 Outcome decode_outcome(Reader& in) {
-  check_version(in, "outcome");
+  const std::uint16_t version = in.u16();
+  if (version != kBinaryVersion) {
+    throw CodecError("unsupported outcome record version " +
+                     std::to_string(version));
+  }
   Outcome outcome;
   const std::size_t num_edges = in.check_count(in.u32(), 8);
   outcome.circulation.reserve(num_edges);
@@ -379,20 +303,6 @@ Outcome decode_outcome(Reader& in) {
     outcome.cycles.push_back(std::move(pc));
   }
   return outcome;
-}
-
-Game game_from_bytes(std::string_view bytes) {
-  Reader in(bytes);
-  Game game = decode_game(in);
-  in.expect_end();
-  return game;
-}
-
-BidVector bids_from_bytes(std::string_view bytes) {
-  Reader in(bytes);
-  BidVector bids = decode_bids(in);
-  in.expect_end();
-  return bids;
 }
 
 Outcome outcome_from_bytes(std::string_view bytes) {

@@ -1,4 +1,4 @@
-// Serialization of rebalancing games, bids, and outcomes.
+// Serialization of rebalancing games and outcomes.
 //
 // Two formats:
 //
@@ -13,13 +13,14 @@
 //    '#' starts a comment; blank lines are ignored. Parsing throws
 //    std::runtime_error with a line number on malformed input.
 //
-// 2. A bounds-checked little-endian binary codec (namespace `codec`) for
-//    the wire protocol in src/svc/: games, bid vectors, and outcomes are
-//    encoded as length-free records (the transport frames them). Every
-//    decoder reads through `codec::Reader`, which throws `CodecError`
-//    on truncation, and every element count is validated against the
-//    bytes actually remaining, so an adversarial "4 billion edges"
-//    header is rejected instead of allocated.
+// 2. A bounds-checked little-endian binary codec (namespace `codec`):
+//    the primitives and `Reader` that the wire protocol, the journal and
+//    the snapshots in src/svc/ build their records from, plus the
+//    outcome record the journal stores in each OUTCOME. Every decoder
+//    reads through `codec::Reader`, which throws `CodecError` on
+//    truncation, and every element count is validated against the bytes
+//    actually remaining, so an adversarial "4 billion cycles" header is
+//    rejected instead of allocated.
 #pragma once
 
 #include <cstdint>
@@ -79,6 +80,8 @@ class Reader {
   std::uint64_t u64();
   std::int64_t i64();
   double f64();
+  /// A view of the next `n` bytes (into the reader's underlying bytes).
+  std::string_view bytes(std::size_t n);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return remaining() == 0; }
@@ -104,25 +107,14 @@ class Reader {
 /// reject versions they do not understand).
 inline constexpr std::uint16_t kBinaryVersion = 1;
 
-/// Game <-> bytes. decode_game applies the same semantic validation as
-/// the text parser (endpoint range, capacity sign, valuation bounds).
-void encode_game(const Game& game, std::string& out);
-Game decode_game(Reader& in);
-
-/// BidVector <-> bytes. decode_bids enforces the §2.3 validity box
-/// (tail in (-0.1, 0], head in [0, 0.1)) and rejects non-finite values.
-void encode_bids(const BidVector& bids, std::string& out);
-BidVector decode_bids(Reader& in);
-
-/// Outcome <-> bytes. Decoding is structural (counts, finiteness); the
-/// economic invariants of a received outcome are the auditor's job.
+/// Outcome <-> bytes. Decoding is structural (version, counts, signs,
+/// finiteness); the economic invariants of a decoded outcome are the
+/// auditor's job.
 void encode_outcome(const Outcome& outcome, std::string& out);
 Outcome decode_outcome(Reader& in);
 
-/// Whole-buffer conveniences: decode exactly one record and require the
-/// buffer to be fully consumed.
-Game game_from_bytes(std::string_view bytes);
-BidVector bids_from_bytes(std::string_view bytes);
+/// Decodes exactly one outcome record and requires the buffer to be
+/// fully consumed.
 Outcome outcome_from_bytes(std::string_view bytes);
 
 }  // namespace codec

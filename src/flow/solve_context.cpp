@@ -68,9 +68,6 @@ Circulation SolveContext::solve(SolveStats* stats) {
     throw;
   }
 
-  local.graph_rebuilds =
-      static_cast<int>(stats_.structure_builds - builds_at_last_solve_);
-  builds_at_last_solve_ = stats_.structure_builds;
   ++stats_.solves;
   stats_.fallbacks += local.fallbacks;
 
@@ -88,7 +85,6 @@ Circulation SolveContext::solve(SolveStats* stats) {
     stats->pivots += local.pivots;
     stats->zero_flow_certified += local.zero_flow_certified;
     stats->fallbacks += local.fallbacks;
-    stats->graph_rebuilds += local.graph_rebuilds;
   }
   return f;
 }

@@ -10,9 +10,9 @@
 //     allocation); otherwise the graph is rebuilt ("structure build").
 //   * solve(stats)        — solve_max_welfare on the bound graph through
 //     the pooled workspace, with the network simplex: every mechanism
-//     solves with it. SolveStats::graph_rebuilds reports how many
-//     structure builds this context performed since its previous solve
-//     (0 on a warm rebind-only path).
+//     solves with it. stats().structure_builds counts the structure
+//     builds (its delta across a solve is 0 on a warm rebind-only
+//     path).
 //
 // Results are bit-identical to building a fresh Graph and calling
 // solve_max_welfare on it: only buffers are reused, never algorithmic
@@ -156,7 +156,6 @@ class SolveContext {
   ContextStats stats_;
   bool bound_ = false;
   util::CancelToken* cancel_ = nullptr;  ///< borrowed
-  long long builds_at_last_solve_ = 0;
 
   Executor* executor_ = nullptr;  ///< borrowed
   SerialExecutor serial_;         ///< used when no executor is attached

@@ -63,10 +63,6 @@ struct SolveStats {
   /// Times the network simplex hit its pivot cap and fell back to the
   /// Bellman–Ford canceller (0 for kBellmanFord).
   int fallbacks = 0;
-  /// flow::Graph structure (re)builds performed by the SolveContext this
-  /// solve ran on since its previous solve (0 when solving through a bare
-  /// Graph or a warm rebind-only context). See flow/solve_context.hpp.
-  int graph_rebuilds = 0;
   /// Solves a cancel token interrupted before optimality. A cancelled
   /// solve throws util::SolveCancelled after bumping this, so the count
   /// is only observable on stats objects that outlive the throw (e.g.

@@ -180,36 +180,27 @@ double HistogramSnapshot::quantile(double q) const {
 
 // --- Registry ----------------------------------------------------------
 
-Registry::Entry& Registry::entry_locked(const std::string& name,
-                                        const std::string& help) {
-  mutex_.assert_held();
-  Entry& entry = entries_[name];
-  if (entry.help.empty()) entry.help = help;
-  return entry;
-}
-
-Counter& Registry::counter(const std::string& name, const std::string& help) {
+Counter& Registry::counter(const std::string& name) {
   const util::OrderedLock lock(mutex_);
-  Entry& entry = entry_locked(name, help);
+  Entry& entry = entries_[name];
   MUSK_ASSERT_MSG(!entry.gauge && !entry.histogram,
                   "metric registered as two different kinds");
   if (!entry.counter) entry.counter = std::make_unique<Counter>();
   return *entry.counter;
 }
 
-Gauge& Registry::gauge(const std::string& name, const std::string& help) {
+Gauge& Registry::gauge(const std::string& name) {
   const util::OrderedLock lock(mutex_);
-  Entry& entry = entry_locked(name, help);
+  Entry& entry = entries_[name];
   MUSK_ASSERT_MSG(!entry.counter && !entry.histogram,
                   "metric registered as two different kinds");
   if (!entry.gauge) entry.gauge = std::make_unique<Gauge>();
   return *entry.gauge;
 }
 
-Histogram& Registry::histogram(const std::string& name,
-                               const std::string& help) {
+Histogram& Registry::histogram(const std::string& name) {
   const util::OrderedLock lock(mutex_);
-  Entry& entry = entry_locked(name, help);
+  Entry& entry = entries_[name];
   MUSK_ASSERT_MSG(!entry.counter && !entry.gauge,
                   "metric registered as two different kinds");
   if (!entry.histogram) entry.histogram = std::make_unique<Histogram>();
@@ -220,15 +211,6 @@ namespace {
 
 /// %.17g round-trips every double (same convention as sim/metrics_io).
 std::string num(double v) { return util::format("%.17g", v); }
-
-/// Prometheus metric names: dots and dashes become underscores.
-std::string prom_name(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    if (c == '.' || c == '-') c = '_';
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -259,42 +241,6 @@ std::string Registry::to_json() const {
   }
   return "{\"counters\": {" + counters + "}, \"gauges\": {" + gauges +
          "}, \"histograms\": {" + histograms + "}}";
-}
-
-std::string Registry::to_prometheus() const {
-  const util::OrderedLock lock(mutex_);
-  std::string out;
-  for (const auto& [name, entry] : entries_) {
-    const std::string pname = prom_name(name);
-    if (!entry.help.empty()) {
-      out += "# HELP " + pname + " " + entry.help + "\n";
-    }
-    if (entry.counter) {
-      out += "# TYPE " + pname + " counter\n";
-      out += pname + " " + std::to_string(entry.counter->value()) + "\n";
-    } else if (entry.gauge) {
-      out += "# TYPE " + pname + " gauge\n";
-      out += pname + " " + num(entry.gauge->value()) + "\n";
-    } else if (entry.histogram) {
-      const HistogramSnapshot snap = entry.histogram->snapshot();
-      out += "# TYPE " + pname + " histogram\n";
-      std::uint64_t cumulative = 0;
-      for (std::size_t i = 0; i < snap.buckets.size(); ++i) {
-        if (snap.buckets[i] == 0) continue;
-        cumulative += snap.buckets[i];
-        const double hi =
-            Histogram::bucket_upper_bound(static_cast<int>(i));
-        out += pname + "_bucket{le=\"" +
-               (std::isfinite(hi) ? num(hi) : std::string("+Inf")) + "\"} " +
-               std::to_string(cumulative) + "\n";
-      }
-      out += pname + "_bucket{le=\"+Inf\"} " + std::to_string(snap.count) +
-             "\n";
-      out += pname + "_sum " + num(snap.sum) + "\n";
-      out += pname + "_count " + std::to_string(snap.count) + "\n";
-    }
-  }
-  return out;
 }
 
 Registry& registry() {

@@ -1,7 +1,7 @@
 // Metrics half of the observability subsystem (src/obs): lock-free
 // Counter / Gauge instruments, a fixed-bucket log-scale Histogram with
 // mergeable per-thread shards, and a process-global Registry exporting
-// everything as JSON or Prometheus text exposition.
+// everything as JSON (the stats frame's registry_json).
 //
 // Design rules:
 //
@@ -133,9 +133,8 @@ class Histogram {
 };
 
 /// Name -> instrument registry. Metric names are dot-separated
-/// lowercase identifiers ("svc.epoch.solve_seconds"); the Prometheus
-/// exporter maps dots to underscores. Labels, when needed, are encoded
-/// into the name Prometheus-style: `name{key="value"}`.
+/// lowercase identifiers ("svc.epoch.solve_seconds"). Labels, when
+/// needed, are encoded into the name: `name{key="value"}`.
 class Registry {
  public:
   Registry() = default;
@@ -145,32 +144,21 @@ class Registry {
   /// Returns the named instrument, creating it on first use. The
   /// returned reference lives as long as the Registry. Registering one
   /// name as two different instrument kinds aborts.
-  Counter& counter(const std::string& name, const std::string& help = "")
-      MUSK_EXCLUDES(mutex_);
-  Gauge& gauge(const std::string& name, const std::string& help = "")
-      MUSK_EXCLUDES(mutex_);
-  Histogram& histogram(const std::string& name, const std::string& help = "")
-      MUSK_EXCLUDES(mutex_);
+  Counter& counter(const std::string& name) MUSK_EXCLUDES(mutex_);
+  Gauge& gauge(const std::string& name) MUSK_EXCLUDES(mutex_);
+  Histogram& histogram(const std::string& name) MUSK_EXCLUDES(mutex_);
 
   /// Deterministic (name-sorted) JSON snapshot:
   /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,
   /// min,max,mean,p50,p90,p99}}}.
   std::string to_json() const MUSK_EXCLUDES(mutex_);
 
-  /// Prometheus text exposition (HELP/TYPE + samples; histograms as
-  /// cumulative le-buckets plus _sum/_count).
-  std::string to_prometheus() const MUSK_EXCLUDES(mutex_);
-
  private:
   struct Entry {
-    std::string help;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
-
-  Entry& entry_locked(const std::string& name, const std::string& help)
-      MUSK_REQUIRES(mutex_);
 
   /// Rank kObsRegistry sits below every other lock in the hierarchy,
   /// so instruments can be registered from any context, including under

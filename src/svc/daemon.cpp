@@ -15,9 +15,7 @@ Daemon::Daemon(pcn::Network network,
     // so a daemon restarted with --snapshot-every 0 still recovers from
     // snapshots a previous run left behind (the journal may already be
     // compacted below genesis).
-    JournalConfig jconfig;
-    jconfig.max_segment_bytes = config.max_segment_bytes;
-    journal_ = std::make_unique<Journal>(config.journal_path, jconfig);
+    journal_ = std::make_unique<Journal>(config.journal_path);
     snapshots_ = std::make_unique<SnapshotStore>(
         config.journal_path, config.keep_snapshots < 1 ? 1
                                                        : config.keep_snapshots);

@@ -31,10 +31,6 @@ struct DaemonConfig {
   /// 0 disables checkpointing (journal-only, replay from genesis).
   /// Ignored when journal_path is empty.
   int snapshot_every = 0;
-  /// Journal segment size bound: when a segment reaches this many bytes
-  /// the journal rolls to a new segment at the next epoch boundary.
-  /// 0 = never roll on size (checkpoints still roll once per snapshot).
-  std::uint64_t max_segment_bytes = 0;
   /// How many validated snapshots to retain (newest-first); older ones
   /// are unlinked after each successful write. Minimum 1.
   int keep_snapshots = 2;

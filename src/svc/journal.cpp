@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <map>
 
@@ -121,6 +120,17 @@ void scan_segment_bytes(const std::string& buf, SegmentStat* stat,
 
 }  // namespace
 
+const char* to_string(RecordType type) {
+  switch (type) {
+    case RecordType::kBegin: return "begin";
+    case RecordType::kOutcome: return "outcome";
+    case RecordType::kSettled: return "settled";
+    case RecordType::kAborted: return "aborted";
+    case RecordType::kDegraded: return "degraded";
+  }
+  return "unknown";
+}
+
 std::string encode_watermarks(const SeqWatermarks& watermarks) {
   std::string out;
   // An empty watermark set encodes as an empty payload, byte-identical
@@ -209,8 +219,7 @@ JournalScan scan_journal(const std::string& base_path) {
   return scan;
 }
 
-Journal::Journal(std::string base_path, JournalConfig config)
-    : path_(std::move(base_path)), config_(config) {
+Journal::Journal(std::string base_path) : path_(std::move(base_path)) {
   const JournalScan scan = scan_journal(path_);
   // A crash never leaves an unreadable segment: a failing disk or a
   // wrong file owner surfaces as an error and unlinks nothing.
@@ -324,10 +333,6 @@ std::size_t Journal::records_from_segment(std::uint64_t seq) const {
 
 void Journal::roll_segment() {
   const util::OrderedLock lock(mutex_);
-  roll_locked();
-}
-
-void Journal::roll_locked() {
   // Models kill -9 between "snapshot decided" and "fresh segment
   // exists": the journal must recover with the old segment still
   // active.
@@ -409,25 +414,10 @@ void Journal::append_degraded(int epoch, std::uint64_t pre_digest, int level,
   append(RecordType::kDegraded, epoch, pre_digest, payload);
 }
 
-namespace {
-
-const char* record_type_name(RecordType type) {
-  switch (type) {
-    case RecordType::kBegin: return "begin";
-    case RecordType::kOutcome: return "outcome";
-    case RecordType::kSettled: return "settled";
-    case RecordType::kAborted: return "aborted";
-    case RecordType::kDegraded: return "degraded";
-  }
-  return "unknown";
-}
-
-}  // namespace
-
 void Journal::append(RecordType type, int epoch, std::uint64_t digest,
                      const std::string& payload) {
   MUSK_OBS_SPAN(span, "svc.journal_append");
-  span.set_detail(record_type_name(type));
+  span.set_detail(to_string(type));
   span.set_epoch(static_cast<std::uint64_t>(epoch));
   const util::OrderedLock lock(mutex_);
   if (poisoned_) {
@@ -498,23 +488,6 @@ void Journal::append(RecordType type, int epoch, std::uint64_t digest,
   record.digest = digest;
   record.payload = payload;
   records_.push_back(std::move(record));
-
-  // Size-based auto-roll, at epoch boundaries only so an epoch's
-  // records never straddle segments. The record above is already
-  // durable, so a failed roll is reported but never fatal — the
-  // segment just keeps growing until the next boundary.
-  if (config_.max_segment_bytes > 0 &&
-      (type == RecordType::kSettled || type == RecordType::kAborted) &&
-      segments_.back().bytes >= config_.max_segment_bytes) {
-    try {
-      roll_locked();
-    } catch (const util::fault::CrashPoint&) {
-      throw;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "musketeer: journal %s: segment roll failed: %s\n",
-                   path_.c_str(), e.what());
-    }
-  }
 }
 
 RecoveryReport replay_records(Journal& journal, pcn::Network& network,
@@ -652,18 +625,6 @@ RecoveryReport replay_records(Journal& journal, pcn::Network& network,
   report.final_digest = network.state_digest();
   report.watermarks.assign(marks.begin(), marks.end());
   return report;
-}
-
-RecoveryReport replay_journal(Journal& journal, pcn::Network& network,
-                              const pcn::RebalancePolicy& policy) {
-  if (journal.oldest_segment() != 0) {
-    throw JournalError(
-        "journal " + journal.path() + ": segments before " +
-        std::to_string(journal.oldest_segment()) +
-        " were compacted away; replay from genesis is impossible — recover "
-        "from a snapshot (svc::recover) instead");
-  }
-  return replay_records(journal, network, policy, 0, RecoveryReport{});
 }
 
 }  // namespace musketeer::svc

@@ -20,8 +20,9 @@
 // records sit between a BEGIN and its OUTCOME/ABORTED, so replay
 // reproduces exactly the mechanism the degraded epoch actually cleared
 // with. The fsync'd OUTCOME record is the commit point: recovery
-// (replay_journal) rebuilds the network from its genesis state and
-// re-runs the journal forward —
+// (svc::recover, svc/snapshot.hpp) starts from the newest valid
+// snapshot, or from the genesis network when there is none, and re-runs
+// the journal forward from there (replay_records) —
 //
 //   * every OUTCOME is re-applied exactly once (extraction from an
 //     identical pre-state is deterministic, verified by pre_digest);
@@ -40,11 +41,10 @@
 //   u32 magic 'MJRN' | u8 type | u32 epoch | u64 digest |
 //   u32 payload_len | payload | u64 fnv1a(type..payload)
 //
-// Appends go to the newest segment. Segments roll at epoch boundaries —
-// explicitly before each snapshot (so a recovery tail always starts at
-// a BEGIN) and automatically once the active segment exceeds
-// JournalConfig::max_segment_bytes. compact_below(seq) unlinks whole
-// segments a durable snapshot has made redundant.
+// Appends go to the newest segment. Segments roll only at checkpoints:
+// roll_segment() runs right before each snapshot, so a recovery tail
+// always starts at a BEGIN. compact_below(seq) unlinks whole segments a
+// durable snapshot has made redundant.
 //
 // On open the journal lists the segment files in its directory, scans
 // the chain in seq order, keeps the longest valid record prefix, and
@@ -118,6 +118,10 @@ enum class RecordType : std::uint8_t {
   kDegraded = 5,
 };
 
+/// Lowercase record type name ("begin", "outcome", ...), for traces and
+/// `musk_journal inspect`.
+const char* to_string(RecordType type);
+
 struct JournalRecord {
   RecordType type = RecordType::kBegin;
   int epoch = 0;
@@ -181,22 +185,13 @@ struct JournalScan {
 /// repairs; never throws on corruption (corruption is the *answer*).
 JournalScan scan_journal(const std::string& base_path);
 
-struct JournalConfig {
-  /// Roll to a fresh segment once the active one exceeds this many
-  /// bytes (checked at epoch boundaries, so an epoch's records never
-  /// straddle a roll). 0 = roll only explicitly (roll_segment()).
-  std::uint64_t max_segment_bytes = 0;
-};
-
 class Journal {
  public:
   /// Opens (creating if absent) the journal at `base_path`, validates
   /// the segment chain, loads every intact record, and truncates or
   /// unlinks any torn/corrupt tail. Throws JournalError, unlinking
   /// nothing, when a segment file cannot be read.
-  explicit Journal(std::string base_path)
-      : Journal(std::move(base_path), JournalConfig{}) {}
-  Journal(std::string base_path, JournalConfig config);
+  explicit Journal(std::string base_path);
   ~Journal();
 
   Journal(const Journal&) = delete;
@@ -237,7 +232,7 @@ class Journal {
       MUSK_EXCLUDES(mutex_);
 
   /// Closes the active segment and opens a fresh one (header written
-  /// and fsync'd). Called at epoch boundaries only.
+  /// and fsync'd). Called at checkpoints, between epochs.
   void roll_segment() MUSK_EXCLUDES(mutex_);
 
   /// Unlinks every live segment with seq < `seq_bound` (never the
@@ -281,10 +276,8 @@ class Journal {
   /// every later append throws.
   void append(RecordType type, int epoch, std::uint64_t digest,
               const std::string& payload) MUSK_EXCLUDES(mutex_);
-  void roll_locked() MUSK_REQUIRES(mutex_);
 
   std::string path_;
-  const JournalConfig config_;
 
   /// Serializes appends and segment transitions (the file offset,
   /// poison state, and segment chain are one atomically-advanced
@@ -301,7 +294,7 @@ class Journal {
   std::uint64_t truncated_tail_bytes_ = 0;
 };
 
-/// Outcome of replaying a journal onto a base network at startup.
+/// Outcome of recovering a network from its journal at startup.
 struct RecoveryReport {
   /// Epochs fully replayed (SETTLED seen, including the close-out
   /// SETTLED that recovery itself appends for an in-flight outcome).
@@ -324,8 +317,9 @@ struct RecoveryReport {
   /// network.state_digest() after replay.
   std::uint64_t final_digest = 0;
 
-  /// Checkpointed-recovery fields (svc::recover). All zero/false when
-  /// recovery replayed from genesis.
+  /// Checkpoint fields. All but snapshots_discarded and
+  /// segments_replayed stay zero/false when recovery replayed from
+  /// genesis.
   bool from_snapshot = false;
   /// next_epoch the snapshot was taken at (recovery replayed only the
   /// journal tail past it).
@@ -343,19 +337,13 @@ struct RecoveryReport {
   int shed_level = 0;
 };
 
-/// Replays `journal` onto `network`, which must be in the same genesis
-/// state the journal was started against (verified record-by-record via
-/// digests; mismatch throws JournalError, as does a compacted journal
-/// whose genesis history is gone — use svc::recover for those). Mutates
-/// the journal only to close an in-flight epoch with its missing
-/// SETTLED record.
-RecoveryReport replay_journal(Journal& journal, pcn::Network& network,
-                              const pcn::RebalancePolicy& policy);
-
-/// Core of the recovery state machine: replays
-/// journal.records()[first_record..] onto `network`, starting from the
-/// counters in `seed` (snapshot state, or zeroes for genesis). Shared
-/// by replay_journal and svc::recover.
+/// Core of the recovery state machine, the engine of svc::recover:
+/// replays journal.records()[first_record..] onto `network`, starting
+/// from the counters in `seed` (snapshot state, or zeroes for genesis).
+/// `network` must be in the state the first replayed record was written
+/// against (verified record-by-record via digests; a mismatch throws
+/// JournalError). Mutates the journal only to close an in-flight epoch
+/// with its missing SETTLED record.
 RecoveryReport replay_records(Journal& journal, pcn::Network& network,
                               const pcn::RebalancePolicy& policy,
                               std::size_t first_record, RecoveryReport seed);

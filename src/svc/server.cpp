@@ -194,31 +194,8 @@ void SocketServer::handle_frame(Connection* conn, const Frame& frame) {
       if (!frame.payload.empty()) {
         throw WireError("non-empty stats-request payload");
       }
-      const ServiceStats stats = service_.stats_snapshot();
-      StatsResponseMsg msg;
-      msg.epoch = static_cast<std::uint32_t>(stats.epochs_cleared);
-      msg.uptime_seconds = stats.uptime_seconds;
-      msg.queue_depth = stats.queue_depth;
-      msg.queue_capacity = stats.queue_capacity;
-      msg.queue_high_watermark = stats.queue_high_watermark;
-      msg.journal_bytes = stats.journal_bytes;
-      msg.imbalance_gini = stats.imbalance_gini;
-      msg.imbalance_mean = stats.imbalance_mean;
-      msg.solve_threads = static_cast<std::uint32_t>(stats.solve_threads);
-      msg.last_components = static_cast<std::uint32_t>(stats.last_components);
-      msg.largest_component =
-          static_cast<std::uint32_t>(stats.largest_component);
-      msg.shed_level = static_cast<std::uint32_t>(stats.shed_level);
-      msg.ewma_clear_seconds = stats.ewma_clear_seconds;
-      msg.deadline_exceeded = stats.deadline_exceeded;
-      msg.degraded_epochs = stats.degraded_epochs;
-      msg.aborted_epochs = stats.aborted_epochs;
-      msg.snapshot_age_seconds = stats.snapshot_age_seconds;
-      msg.epochs_since_snapshot = stats.epochs_since_snapshot;
-      msg.snapshots_taken = stats.snapshots_taken;
-      msg.journal_segments = stats.journal_segments;
-      msg.intake = stats.intake;
-      msg.registry_json = obs::registry().to_json();
+      const StatsResponseMsg msg{service_.stats_snapshot(),
+                                 obs::registry().to_json()};
       send_frame(conn, MsgType::kStatsResponse, encode_stats_response(msg));
       return;
     }

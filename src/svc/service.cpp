@@ -225,26 +225,11 @@ EpochReport RebalanceService::run_epoch() {
                               extracted.game, bids, trace_id, report, outcome);
       }
       if (!cleared) {
-        // Ladder exhausted: all-or-nothing abort. Locks released, the
-        // abort journaled, the epoch number reused — and run_epoch
-        // returns normally, because a deadline abort is an operating
-        // mode, not a failure: the scheduler must keep clearing.
-        {
-          const util::OrderedLock net_lock(network_mutex_);
-          pcn::release_locks(network_, extracted);
-        }
-        if (journal != nullptr) {
-          try {
-            journal->append_aborted(report.epoch, pre_digest);
-          } catch (const util::fault::CrashPoint&) {
-            throw;
-          } catch (const std::exception& err) {
-            std::fprintf(
-                stderr,
-                "musketeer: failed to journal abort of epoch %d: %s\n",
-                report.epoch, err.what());
-          }
-        }
+        // Ladder exhausted: the epoch aborts and its number is reused —
+        // and run_epoch returns normally, because a deadline abort is an
+        // operating mode, not a failure: the scheduler must keep
+        // clearing.
+        abort_epoch(extracted, report.epoch, pre_digest);
         report.aborted = true;
         report.clear_seconds = t0.seconds();
         aborted_epochs_.fetch_add(1, std::memory_order_relaxed);
@@ -263,27 +248,9 @@ EpochReport RebalanceService::run_epoch() {
     } catch (const util::fault::CrashPoint&) {
       throw;
     } catch (...) {
-      // Failed clear (or a commit that could not be made durable):
-      // release every pre-lock so no liquidity leaks, then record the
-      // abort so recovery can tell a clean rollback from a crash.
-      {
-        const util::OrderedLock net_lock(network_mutex_);
-        pcn::release_locks(network_, extracted);
-      }
-      if (journal != nullptr) {
-        try {
-          journal->append_aborted(report.epoch, pre_digest);
-        } catch (const util::fault::CrashPoint&) {
-          throw;
-        } catch (const std::exception& err) {
-          // Recovery treats a dangling BEGIN exactly like an ABORTED
-          // epoch (rolled back, number reused); losing the record costs
-          // observability, not safety.
-          std::fprintf(stderr,
-                       "musketeer: failed to journal abort of epoch %d: %s\n",
-                       report.epoch, err.what());
-        }
-      }
+      // Failed clear (or a commit that could not be made durable): the
+      // recorded abort lets recovery tell a clean rollback from a crash.
+      abort_epoch(extracted, report.epoch, pre_digest);
       throw;
     }
     MUSK_FAULT_HIT("svc.crash_after_commit");
@@ -362,6 +329,26 @@ EpochReport RebalanceService::run_epoch() {
   reports_cv_.notify_all();
   for (const auto& callback : callbacks_) callback(report);
   return report;
+}
+
+void RebalanceService::abort_epoch(pcn::ExtractedGame& extracted, int epoch,
+                                   std::uint64_t pre_digest) {
+  {
+    const util::OrderedLock net_lock(network_mutex_);
+    pcn::release_locks(network_, extracted);
+  }
+  if (config_.journal == nullptr) return;
+  try {
+    config_.journal->append_aborted(epoch, pre_digest);
+  } catch (const util::fault::CrashPoint&) {
+    throw;
+  } catch (const std::exception& err) {
+    // Recovery treats a dangling BEGIN exactly like an ABORTED epoch
+    // (rolled back, number reused); losing the record costs
+    // observability, not safety.
+    std::fprintf(stderr, "musketeer: failed to journal abort of epoch %d: %s\n",
+                 epoch, err.what());
+  }
 }
 
 void RebalanceService::checkpoint(EpochReport& report) {

@@ -306,6 +306,14 @@ class RebalanceService {
   pcn::ExtractedGame extract_snapshot(std::uint64_t& pre_digest)
       MUSK_EXCLUDES(network_mutex_);
 
+  /// All-or-nothing abort of an epoch that will not settle: releases
+  /// every pre-lock `extracted` took, so no liquidity leaks, then
+  /// journals ABORTED best effort. CrashPoint (simulated kill -9)
+  /// propagates; a failed append is reported and swallowed.
+  void abort_epoch(pcn::ExtractedGame& extracted, int epoch,
+                   std::uint64_t pre_digest)
+      MUSK_REQUIRES(clear_mutex_) MUSK_EXCLUDES(network_mutex_);
+
   /// One checkpoint: rolls the journal to a fresh segment, snapshots
   /// the full recovery state, and compacts the segments no retained
   /// snapshot needs. Runs after append_settled when the cadence is due.

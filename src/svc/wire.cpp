@@ -218,34 +218,35 @@ std::string encode_error(std::string_view message) {
 }
 
 std::string encode_stats_response(const StatsResponseMsg& msg) {
+  const ServiceStats& s = msg.service;
   std::string out;
-  put_u32(out, msg.epoch);
-  put_f64(out, msg.uptime_seconds);
-  put_u64(out, msg.queue_depth);
-  put_u64(out, msg.queue_capacity);
-  put_u64(out, msg.queue_high_watermark);
-  put_u64(out, msg.journal_bytes);
-  put_f64(out, msg.imbalance_gini);
-  put_f64(out, msg.imbalance_mean);
-  put_u32(out, msg.solve_threads);
-  put_u32(out, msg.last_components);
-  put_u32(out, msg.largest_component);
-  put_u32(out, msg.shed_level);
-  put_f64(out, msg.ewma_clear_seconds);
-  put_u64(out, msg.deadline_exceeded);
-  put_u64(out, msg.degraded_epochs);
-  put_u64(out, msg.aborted_epochs);
-  put_f64(out, msg.snapshot_age_seconds);
-  put_u64(out, msg.epochs_since_snapshot);
-  put_u64(out, msg.snapshots_taken);
-  put_u64(out, msg.journal_segments);
-  put_u64(out, msg.intake.accepted);
-  put_u64(out, msg.intake.replaced);
-  put_u64(out, msg.intake.rejected_full);
-  put_u64(out, msg.intake.rejected_invalid);
-  put_u64(out, msg.intake.rejected_closed);
-  put_u64(out, msg.intake.duplicate);
-  put_u64(out, msg.intake.rejected_overload);
+  put_u32(out, static_cast<std::uint32_t>(s.epochs_cleared));
+  put_f64(out, s.uptime_seconds);
+  put_u64(out, s.queue_depth);
+  put_u64(out, s.queue_capacity);
+  put_u64(out, s.queue_high_watermark);
+  put_u64(out, s.journal_bytes);
+  put_f64(out, s.imbalance_gini);
+  put_f64(out, s.imbalance_mean);
+  put_u32(out, static_cast<std::uint32_t>(s.solve_threads));
+  put_u32(out, static_cast<std::uint32_t>(s.last_components));
+  put_u32(out, static_cast<std::uint32_t>(s.largest_component));
+  put_u32(out, static_cast<std::uint32_t>(s.shed_level));
+  put_f64(out, s.ewma_clear_seconds);
+  put_u64(out, s.deadline_exceeded);
+  put_u64(out, s.degraded_epochs);
+  put_u64(out, s.aborted_epochs);
+  put_f64(out, s.snapshot_age_seconds);
+  put_u64(out, s.epochs_since_snapshot);
+  put_u64(out, s.snapshots_taken);
+  put_u64(out, s.journal_segments);
+  put_u64(out, s.intake.accepted);
+  put_u64(out, s.intake.replaced);
+  put_u64(out, s.intake.rejected_full);
+  put_u64(out, s.intake.rejected_invalid);
+  put_u64(out, s.intake.rejected_closed);
+  put_u64(out, s.intake.duplicate);
+  put_u64(out, s.intake.rejected_overload);
   put_u32(out, static_cast<std::uint32_t>(msg.registry_json.size()));
   out.append(msg.registry_json.data(), msg.registry_json.size());
   return out;
@@ -254,52 +255,43 @@ std::string encode_stats_response(const StatsResponseMsg& msg) {
 StatsResponseMsg decode_stats_response(std::string_view payload) {
   Reader in = payload_reader(payload);
   StatsResponseMsg msg;
-  msg.epoch = in.u32();
-  msg.uptime_seconds = in.f64();
-  msg.queue_depth = in.u64();
-  msg.queue_capacity = in.u64();
-  msg.queue_high_watermark = in.u64();
-  msg.journal_bytes = in.u64();
-  msg.imbalance_gini = in.f64();
-  msg.imbalance_mean = in.f64();
-  msg.solve_threads = in.u32();
-  msg.last_components = in.u32();
-  msg.largest_component = in.u32();
-  msg.shed_level = in.u32();
-  msg.ewma_clear_seconds = in.f64();
-  msg.deadline_exceeded = in.u64();
-  msg.degraded_epochs = in.u64();
-  msg.aborted_epochs = in.u64();
-  msg.snapshot_age_seconds = in.f64();
-  msg.epochs_since_snapshot = in.u64();
-  msg.snapshots_taken = in.u64();
-  msg.journal_segments = in.u64();
-  msg.intake.accepted = in.u64();
-  msg.intake.replaced = in.u64();
-  msg.intake.rejected_full = in.u64();
-  msg.intake.rejected_invalid = in.u64();
-  msg.intake.rejected_closed = in.u64();
-  msg.intake.duplicate = in.u64();
-  msg.intake.rejected_overload = in.u64();
-  if (!std::isfinite(msg.uptime_seconds) ||
-      !std::isfinite(msg.imbalance_gini) ||
-      !std::isfinite(msg.imbalance_mean) ||
-      !std::isfinite(msg.ewma_clear_seconds) ||
+  ServiceStats& s = msg.service;
+  s.epochs_cleared = static_cast<int>(in.u32());
+  s.uptime_seconds = in.f64();
+  s.queue_depth = in.u64();
+  s.queue_capacity = in.u64();
+  s.queue_high_watermark = in.u64();
+  s.journal_bytes = in.u64();
+  s.imbalance_gini = in.f64();
+  s.imbalance_mean = in.f64();
+  s.solve_threads = static_cast<int>(in.u32());
+  s.last_components = static_cast<int>(in.u32());
+  s.largest_component = static_cast<int>(in.u32());
+  s.shed_level = static_cast<int>(in.u32());
+  s.ewma_clear_seconds = in.f64();
+  s.deadline_exceeded = in.u64();
+  s.degraded_epochs = in.u64();
+  s.aborted_epochs = in.u64();
+  s.snapshot_age_seconds = in.f64();
+  s.epochs_since_snapshot = in.u64();
+  s.snapshots_taken = in.u64();
+  s.journal_segments = in.u64();
+  s.intake.accepted = in.u64();
+  s.intake.replaced = in.u64();
+  s.intake.rejected_full = in.u64();
+  s.intake.rejected_invalid = in.u64();
+  s.intake.rejected_closed = in.u64();
+  s.intake.duplicate = in.u64();
+  s.intake.rejected_overload = in.u64();
+  if (!std::isfinite(s.uptime_seconds) || !std::isfinite(s.imbalance_gini) ||
+      !std::isfinite(s.imbalance_mean) ||
+      !std::isfinite(s.ewma_clear_seconds) ||
       // -1 is the "no snapshot yet" sentinel; anything non-finite is torn.
-      !std::isfinite(msg.snapshot_age_seconds)) {
+      !std::isfinite(s.snapshot_age_seconds)) {
     throw WireError("non-finite stats-response field");
   }
-  const std::size_t n = in.check_count(in.u32(), 1);
-  // Fixed-size prefix: 5 u32s (epoch, 3 v4 solve fields, v5 shed level)
-  // + 5 doubles (uptime, gini, mean, v5 EWMA, v6 snapshot age) + 17 u64s
-  // (4 queue/journal, 3 degradation counters, 3 v6 checkpoint counters,
-  // 7 intake) + the u32 length.
-  constexpr std::size_t kPrefix = 4 * 5 + 8 * 5 + 8 * 17 + 4;
-  msg.registry_json = std::string(payload.substr(kPrefix, n));
-  // The JSON bytes were consumed via substr, not the reader.
-  if (payload.size() != kPrefix + n) {
-    throw WireError("trailing bytes in stats-response payload");
-  }
+  msg.registry_json = std::string(in.bytes(in.u32()));
+  expect_consumed(in, "stats-response");
   return msg;
 }
 
@@ -312,13 +304,8 @@ ErrorMsg decode_error(std::string_view payload) {
   }
   msg.code = static_cast<ErrorCode>(code);
   msg.retry_after_ms = in.u32();
-  const std::size_t n = in.check_count(in.u32(), 1);
-  constexpr std::size_t kPrefix = 2 + 4 + 4;
-  msg.message = std::string(payload.substr(kPrefix, n));
-  // The message bytes were consumed via substr, not the reader.
-  if (payload.size() != kPrefix + n) {
-    throw WireError("trailing bytes in error payload");
-  }
+  msg.message = std::string(in.bytes(in.u32()));
+  expect_consumed(in, "error");
   return msg;
 }
 

@@ -177,35 +177,11 @@ ErrorMsg decode_error(std::string_view payload);
 
 /// kStatsResponse payload: the service's ServiceStats plus the obs
 /// registry snapshot (Registry::to_json() bytes, opaque to the wire
-/// layer). kStatsRequest has an empty payload.
+/// layer). kStatsRequest has an empty payload. On the wire the int
+/// fields travel as u32 and the size_t fields as u64, in the order
+/// encode_stats_response writes them.
 struct StatsResponseMsg {
-  std::uint32_t epoch = 0;
-  double uptime_seconds = 0.0;
-  std::uint64_t queue_depth = 0;
-  std::uint64_t queue_capacity = 0;
-  std::uint64_t queue_high_watermark = 0;
-  std::uint64_t journal_bytes = 0;
-  double imbalance_gini = 0.0;
-  double imbalance_mean = 0.0;
-  /// v4: solve concurrency and the last epoch's component shape.
-  std::uint32_t solve_threads = 1;
-  std::uint32_t last_components = 0;
-  std::uint32_t largest_component = 0;
-  /// v5 health fields: overload shed level (0-3), clear-time EWMA, and
-  /// the degradation counters (see ServiceStats).
-  std::uint32_t shed_level = 0;
-  double ewma_clear_seconds = 0.0;
-  std::uint64_t deadline_exceeded = 0;
-  std::uint64_t degraded_epochs = 0;
-  std::uint64_t aborted_epochs = 0;
-  /// v6 checkpoint health: seconds since the last snapshot (-1 when no
-  /// snapshot has been taken this run), settled epochs since it, total
-  /// snapshots this run, and live journal segment count.
-  double snapshot_age_seconds = -1.0;
-  std::uint64_t epochs_since_snapshot = 0;
-  std::uint64_t snapshots_taken = 0;
-  std::uint64_t journal_segments = 0;
-  IntakeCounters intake;
+  ServiceStats service;
   std::string registry_json;
 };
 

@@ -1,5 +1,6 @@
 // Round-trip and adversarial-input tests for the binary codec in
-// core/io (the payload format of the svc wire protocol).
+// core/io: the Reader primitives and the outcome record the journal
+// stores in each OUTCOME.
 #include <limits>
 #include <string>
 #include <string_view>
@@ -20,50 +21,6 @@ Game sample_game(std::uint64_t seed, flow::NodeId players = 16) {
   util::Rng rng(seed);
   gen::GameConfig config;
   return gen::random_ba_game(players, 2, config, rng);
-}
-
-void expect_games_equal(const Game& a, const Game& b) {
-  ASSERT_EQ(a.num_players(), b.num_players());
-  ASSERT_EQ(a.num_edges(), b.num_edges());
-  for (EdgeId e = 0; e < a.num_edges(); ++e) {
-    const GameEdge& x = a.edge(e);
-    const GameEdge& y = b.edge(e);
-    EXPECT_EQ(x.from, y.from);
-    EXPECT_EQ(x.to, y.to);
-    EXPECT_EQ(x.capacity, y.capacity);
-    // Bit-exact: the codec moves raw f64 bits.
-    EXPECT_DOUBLE_EQ(x.tail_valuation, y.tail_valuation);
-    EXPECT_DOUBLE_EQ(x.head_valuation, y.head_valuation);
-  }
-}
-
-TEST(IoBinary, GameRoundTrip) {
-  const Game game = sample_game(7);
-  std::string bytes;
-  codec::encode_game(game, bytes);
-  expect_games_equal(game, codec::game_from_bytes(bytes));
-}
-
-TEST(IoBinary, EmptyGameRoundTrip) {
-  const Game game(3);
-  std::string bytes;
-  codec::encode_game(game, bytes);
-  const Game back = codec::game_from_bytes(bytes);
-  EXPECT_EQ(back.num_players(), 3);
-  EXPECT_EQ(back.num_edges(), 0);
-}
-
-TEST(IoBinary, BidsRoundTrip) {
-  const Game game = sample_game(11);
-  const BidVector bids = game.truthful_bids();
-  std::string bytes;
-  codec::encode_bids(bids, bytes);
-  const BidVector back = codec::bids_from_bytes(bytes);
-  ASSERT_EQ(back.size(), bids.size());
-  for (std::size_t e = 0; e < bids.size(); ++e) {
-    EXPECT_DOUBLE_EQ(back.tail[e], bids.tail[e]);
-    EXPECT_DOUBLE_EQ(back.head[e], bids.head[e]);
-  }
 }
 
 void expect_outcomes_equal(const Outcome& a, const Outcome& b) {
@@ -103,17 +60,6 @@ TEST(IoBinary, MechanismOutcomeRoundTrip) {
   }
 }
 
-TEST(IoBinary, EveryTruncationOfGameThrows) {
-  const Game game = sample_game(17);
-  std::string bytes;
-  codec::encode_game(game, bytes);
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_THROW(codec::game_from_bytes(std::string_view(bytes).substr(0, len)),
-                 CodecError)
-        << "prefix of length " << len << " was accepted";
-  }
-}
-
 TEST(IoBinary, EveryTruncationOfOutcomeThrows) {
   const Game game = sample_game(19, 20);
   const Outcome outcome = M4DelayedAuction(1.5).run_truthful(game);
@@ -127,40 +73,16 @@ TEST(IoBinary, EveryTruncationOfOutcomeThrows) {
   }
 }
 
-TEST(IoBinary, EveryTruncationOfBidsThrows) {
+std::string encoded(const Outcome& outcome) {
   std::string bytes;
-  codec::encode_bids(sample_game(23).truthful_bids(), bytes);
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_THROW(
-        codec::bids_from_bytes(std::string_view(bytes).substr(0, len)),
-        CodecError);
-  }
+  codec::encode_outcome(outcome, bytes);
+  return bytes;
 }
 
 TEST(IoBinary, TrailingBytesRejected) {
-  const Game game = sample_game(29);
-  std::string game_bytes;
-  codec::encode_game(game, game_bytes);
-  std::string bids_bytes;
-  codec::encode_bids(game.truthful_bids(), bids_bytes);
-  std::string outcome_bytes;
-  codec::encode_outcome(M3DoubleAuction().run_truthful(game), outcome_bytes);
-  game_bytes.push_back('\0');
-  bids_bytes.push_back('\0');
-  outcome_bytes.push_back('\0');
-  EXPECT_THROW(codec::game_from_bytes(game_bytes), CodecError);
-  EXPECT_THROW(codec::bids_from_bytes(bids_bytes), CodecError);
-  EXPECT_THROW(codec::outcome_from_bytes(outcome_bytes), CodecError);
-}
-
-TEST(IoBinary, OversizedEdgeCountRejectedWithoutAllocation) {
-  // Adversarial header claiming 2^32-1 edges with no payload behind it:
-  // check_count must reject it before any reserve/loop.
-  std::string bytes;
-  codec::put_u16(bytes, codec::kBinaryVersion);
-  codec::put_u32(bytes, 8);            // players
-  codec::put_u32(bytes, 0xffffffffu);  // edges
-  EXPECT_THROW(codec::game_from_bytes(bytes), CodecError);
+  std::string bytes = encoded(M3DoubleAuction().run_truthful(sample_game(29)));
+  bytes.push_back('\0');
+  EXPECT_THROW(codec::outcome_from_bytes(bytes), CodecError);
 }
 
 TEST(IoBinary, OversizedCycleAndPriceCountsRejected) {
@@ -190,69 +112,43 @@ TEST(IoBinary, OversizedCirculationCountRejected) {
 }
 
 TEST(IoBinary, EmptyAndGarbageInputRejected) {
-  EXPECT_THROW(codec::game_from_bytes(""), CodecError);
-  EXPECT_THROW(codec::bids_from_bytes(""), CodecError);
   EXPECT_THROW(codec::outcome_from_bytes(""), CodecError);
 
   // All-ones garbage: version check fires first; with the version bytes
   // patched in, the saturated counts must still be rejected.
   std::string garbage(64, static_cast<char>(0xff));
-  EXPECT_THROW(codec::game_from_bytes(garbage), CodecError);
-  EXPECT_THROW(codec::bids_from_bytes(garbage), CodecError);
   EXPECT_THROW(codec::outcome_from_bytes(garbage), CodecError);
 
   std::string versioned;
   codec::put_u16(versioned, codec::kBinaryVersion);
   versioned += std::string(62, static_cast<char>(0xff));
-  EXPECT_THROW(codec::game_from_bytes(versioned), CodecError);
-  EXPECT_THROW(codec::bids_from_bytes(versioned), CodecError);
   EXPECT_THROW(codec::outcome_from_bytes(versioned), CodecError);
 }
 
-TEST(IoBinary, ImplausiblePlayerCountRejected) {
-  std::string bytes;
-  codec::put_u16(bytes, codec::kBinaryVersion);
-  codec::put_u32(bytes, (1u << 26) + 1);  // players above sanity cap
-  codec::put_u32(bytes, 0);               // edges
-  EXPECT_THROW(codec::game_from_bytes(bytes), CodecError);
-}
-
 TEST(IoBinary, WrongVersionRejected) {
-  const Game game = sample_game(31);
-  std::string bytes;
-  codec::encode_game(game, bytes);
+  std::string bytes = encoded(M3DoubleAuction().run_truthful(sample_game(31)));
   bytes[0] = static_cast<char>(codec::kBinaryVersion + 1);
-  EXPECT_THROW(codec::game_from_bytes(bytes), CodecError);
+  EXPECT_THROW(codec::outcome_from_bytes(bytes), CodecError);
 }
 
+// encode_outcome writes whatever it is given; the decoder is the gate.
 TEST(IoBinary, SemanticValidationOnDecode) {
-  const Game game = sample_game(37);
-  std::string good;
-  codec::encode_game(game, good);
+  const Outcome good = M3DoubleAuction().run_truthful(sample_game(37, 20));
+  ASSERT_FALSE(good.cycles.empty()) << "test game cleared no cycles";
+  ASSERT_FALSE(good.cycles[0].prices.empty());
+  EXPECT_NO_THROW(codec::outcome_from_bytes(encoded(good)));
 
-  // Edge record layout: from u32, to u32, capacity i64, tail f64, head
-  // f64, starting at offset 10. Corrupt the first edge's head valuation
-  // to an out-of-box value.
-  std::string bad = good;
-  std::string head;
-  codec::put_f64(head, 0.5);  // >= kMaxFeeRate
-  bad.replace(10 + 4 + 4 + 8 + 8, 8, head);
-  EXPECT_THROW(codec::game_from_bytes(bad), CodecError);
+  Outcome bad = good;
+  bad.circulation[0] = -1;
+  EXPECT_THROW(codec::outcome_from_bytes(encoded(bad)), CodecError);
 
-  // Endpoint out of range.
   bad = good;
-  std::string from;
-  codec::put_u32(from, 1u << 20);
-  bad.replace(10, 4, from);
-  EXPECT_THROW(codec::game_from_bytes(bad), CodecError);
+  bad.cycles[0].cycle.amount = -1;
+  EXPECT_THROW(codec::outcome_from_bytes(encoded(bad)), CodecError);
 
-  // Non-finite bid.
-  std::string bid_bytes;
-  codec::put_u16(bid_bytes, codec::kBinaryVersion);
-  codec::put_u32(bid_bytes, 1);
-  codec::put_f64(bid_bytes, 0.0);
-  codec::put_f64(bid_bytes, std::numeric_limits<double>::quiet_NaN());
-  EXPECT_THROW(codec::bids_from_bytes(bid_bytes), CodecError);
+  bad = good;
+  bad.cycles[0].prices[0].price = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(codec::outcome_from_bytes(encoded(bad)), CodecError);
 }
 
 TEST(IoBinary, ReaderPrimitives) {
@@ -263,6 +159,7 @@ TEST(IoBinary, ReaderPrimitives) {
   codec::put_u64(bytes, 0x0102030405060708ull);
   codec::put_i64(bytes, -42);
   codec::put_f64(bytes, -0.0625);
+  bytes += "tail";
   codec::Reader in{std::string_view(bytes)};
   EXPECT_EQ(in.u8(), 0xab);
   EXPECT_EQ(in.u16(), 0x1234);
@@ -270,6 +167,8 @@ TEST(IoBinary, ReaderPrimitives) {
   EXPECT_EQ(in.u64(), 0x0102030405060708ull);
   EXPECT_EQ(in.i64(), -42);
   EXPECT_DOUBLE_EQ(in.f64(), -0.0625);
+  EXPECT_THROW(in.bytes(5), CodecError);
+  EXPECT_EQ(in.bytes(4), "tail");
   EXPECT_TRUE(in.done());
   EXPECT_NO_THROW(in.expect_end());
   EXPECT_THROW(in.u8(), CodecError);

@@ -1,6 +1,5 @@
 // Registry semantics: stable references, exact concurrent counting,
-// registration races under tsan, and export formats (JSON round-trip
-// structure, Prometheus text exposition conventions).
+// registration races under tsan, and the JSON export's structure.
 #include <algorithm>
 #include <atomic>
 #include <string>
@@ -25,16 +24,6 @@ TEST(Registry, RepeatLookupReturnsSameInstrument) {
   Histogram& h1 = reg.histogram("test.lookup.latency_seconds");
   Histogram& h2 = reg.histogram("test.lookup.latency_seconds");
   EXPECT_EQ(&h1, &h2);
-}
-
-TEST(Registry, HelpStringsAreSticky) {
-  Registry reg;
-  reg.counter("test.help.ops_total", "number of ops");
-  reg.counter("test.help.ops_total", "a different string, ignored");
-  const std::string prom = reg.to_prometheus();
-  EXPECT_NE(prom.find("# HELP test_help_ops_total number of ops"),
-            std::string::npos);
-  EXPECT_EQ(prom.find("a different string"), std::string::npos);
 }
 
 // Hammer one counter from many threads; the total must be exact, not a
@@ -130,40 +119,6 @@ TEST(Registry, JsonEscapesControlCharacters) {
   EXPECT_TRUE(std::none_of(json.begin(), json.end(), [](char c) {
     return static_cast<unsigned char>(c) < 0x20;
   })) << json;
-}
-
-TEST(Registry, PrometheusExposition) {
-  Registry reg;
-  reg.counter("test.prom.ops_total", "ops served").add(7);
-  reg.gauge("test.prom.queue-depth").set(4);
-  Histogram& h = reg.histogram("test.prom.wait_seconds");
-  h.record(0.001);
-  h.record(0.002);
-  h.record(10.0);
-  const std::string prom = reg.to_prometheus();
-  // Dots and dashes mangle to underscores.
-  EXPECT_NE(prom.find("# TYPE test_prom_ops_total counter"),
-            std::string::npos);
-  EXPECT_NE(prom.find("test_prom_ops_total 7"), std::string::npos);
-  EXPECT_NE(prom.find("# TYPE test_prom_queue_depth gauge"),
-            std::string::npos);
-  EXPECT_NE(prom.find("# TYPE test_prom_wait_seconds histogram"),
-            std::string::npos);
-  EXPECT_NE(prom.find("test_prom_wait_seconds_bucket{le=\"+Inf\"} 3"),
-            std::string::npos);
-  EXPECT_NE(prom.find("test_prom_wait_seconds_count 3"), std::string::npos);
-  EXPECT_NE(prom.find("test_prom_wait_seconds_sum "), std::string::npos);
-  // Cumulative le-buckets are non-decreasing.
-  std::uint64_t last = 0;
-  std::size_t pos = 0;
-  while ((pos = prom.find("_bucket{le=\"", pos)) != std::string::npos) {
-    const std::size_t close = prom.find("\"} ", pos);
-    ASSERT_NE(close, std::string::npos);
-    const std::uint64_t v = std::stoull(prom.substr(close + 3));
-    EXPECT_GE(v, last);
-    last = v;
-    pos = close;
-  }
 }
 
 TEST(Registry, GlobalRegistryIsAProcessSingleton) {

@@ -125,7 +125,8 @@ RecoveryReport crash_and_recover(
 
   Journal journal(journal_path);
   pcn::Network net = make_network(config);
-  const RecoveryReport recovery = replay_journal(journal, net, config.policy);
+  const RecoveryReport recovery =
+      recover(journal, SnapshotStore(journal.path()), net, config.policy);
   ServiceConfig service_config;
   service_config.policy = config.policy;
   service_config.journal = &journal;
@@ -274,7 +275,8 @@ TEST(Chaos, SilentJournalCorruptionRecoversByRerunning) {
   Journal journal(path);
   EXPECT_GT(journal.truncated_tail_bytes(), 0u);
   pcn::Network net = make_network(config);
-  const RecoveryReport recovery = replay_journal(journal, net, config.policy);
+  const RecoveryReport recovery =
+      recover(journal, SnapshotStore(journal.path()), net, config.policy);
   EXPECT_TRUE(recovery.applied_inflight);
   EXPECT_EQ(recovery.next_epoch, 1);
   ServiceConfig service_config;
@@ -328,7 +330,8 @@ TEST(Chaos, FsyncFailureAbortsEpochReleasesLocksAndReusesNumber) {
   pcn::Network recovered = make_network(config);
   Journal reopened(path);
   const RecoveryReport recovery =
-      replay_journal(reopened, recovered, config.policy);
+      recover(reopened, SnapshotStore(reopened.path()),
+              recovered, config.policy);
   EXPECT_EQ(recovery.aborted_epochs, 1);
   EXPECT_EQ(recovery.epochs_settled, 1);
   EXPECT_EQ(recovery.next_epoch, 1);
@@ -373,10 +376,10 @@ TEST(Chaos, DaemonRestartWithJournalResumesSeamlessly) {
 // --- checkpoint / compaction chaos ------------------------------------
 
 /// Like crash_and_recover, but with checkpointing live (snapshot every 2
-/// epochs, so the FIRST checkpoint runs inside epoch 1's run_epoch) and
-/// recovery going through the snapshot-aware recover() path. The spec is
-/// armed before epoch 1, whose trailing checkpoint is where the new
-/// fault points fire. Asserts convergence to the oracle and returns the
+/// epochs, so the FIRST checkpoint runs inside epoch 1's run_epoch), so
+/// recover() may find a snapshot to start from. The spec is armed
+/// before epoch 1, whose trailing checkpoint is where the new fault
+/// points fire. Asserts convergence to the oracle and returns the
 /// recovery report for precedence checks.
 RecoveryReport checkpoint_crash_and_recover(const sim::SimulationConfig& config,
                                             const std::string& path,
@@ -631,8 +634,9 @@ TEST(Chaos, DoubleCrashDuringRecoveryStaysExactlyOnce) {
     Journal journal(path);
     pcn::Network net = make_network(config);
     fault::configure("journal.write@1=crash");
-    EXPECT_THROW(replay_journal(journal, net, config.policy),
-                 fault::CrashPoint);
+    EXPECT_THROW(
+        recover(journal, SnapshotStore(journal.path()), net, config.policy),
+        fault::CrashPoint);
     fault::clear();
   }
 
@@ -640,7 +644,8 @@ TEST(Chaos, DoubleCrashDuringRecoveryStaysExactlyOnce) {
   // close-out wrote nothing durable) and applies the outcome once.
   Journal journal(path);
   pcn::Network net = make_network(config);
-  const RecoveryReport recovery = replay_journal(journal, net, config.policy);
+  const RecoveryReport recovery =
+      recover(journal, SnapshotStore(journal.path()), net, config.policy);
   EXPECT_TRUE(recovery.applied_inflight);
   EXPECT_EQ(recovery.next_epoch, 2);
   EXPECT_EQ(net.state_digest(), baseline.reports[1].network_digest);
@@ -950,7 +955,8 @@ TEST(Chaos, InjectedDeadlineExpiryDegradesAndReplaysConsistently) {
   Journal reopened(path);
   pcn::Network recovered = make_network(config);
   const RecoveryReport recovery =
-      replay_journal(reopened, recovered, config.policy);
+      recover(reopened, SnapshotStore(reopened.path()),
+              recovered, config.policy);
   EXPECT_EQ(recovery.epochs_settled, kTotalEpochs);
   EXPECT_EQ(recovery.degraded_epochs, 1);
   EXPECT_EQ(recovery.next_epoch, kTotalEpochs);

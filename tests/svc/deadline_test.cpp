@@ -139,7 +139,8 @@ TEST(DeadlineTest, DegradedEpochJournalsRungAndReplaysToSameDigest) {
   Journal reopened(path);
   pcn::Network recovered = make_network(config);
   const RecoveryReport recovery =
-      replay_journal(reopened, recovered, config.policy);
+      recover(reopened, SnapshotStore(reopened.path()),
+              recovered, config.policy);
   EXPECT_EQ(recovery.epochs_settled, 1);
   EXPECT_EQ(recovery.degraded_epochs, 1);
   EXPECT_EQ(recovery.next_epoch, 1);

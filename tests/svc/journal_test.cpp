@@ -1,6 +1,7 @@
 // Epoch journal: record round-trips, torn/corrupt-tail repair on open,
-// and replay_journal's recovery state machine (rollback, exactly-once
-// in-flight application, digest verification).
+// and the recovery state machine svc::recover runs over a journal with
+// no snapshots (rollback, exactly-once in-flight application, digest
+// verification).
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
@@ -129,13 +130,12 @@ TEST(Journal, BadHeaderRejected) {
 
 TEST(Journal, SegmentsRollAtEpochBoundariesAndSurviveReopen) {
   const std::string path = temp_journal("rotate");
-  JournalConfig config;
-  config.max_segment_bytes = 1;  // every settled/aborted record rolls
   {
-    Journal journal(path, config);
+    Journal journal(path);
     for (int epoch = 0; epoch < 3; ++epoch) {
       journal.append_begin(epoch, 10 + epoch);
       journal.append_settled(epoch, 11 + epoch);
+      journal.roll_segment();
     }
     // Three rolls: segments 0..3, the last one empty and current.
     EXPECT_EQ(journal.segment_count(), 4u);
@@ -160,12 +160,11 @@ TEST(Journal, CompactBelowUnlinksCoveredSegments) {
   const std::string path = temp_journal("compact");
   std::size_t records_kept = 0;
   {
-    JournalConfig config;
-    config.max_segment_bytes = 1;
-    Journal journal(path, config);
+    Journal journal(path);
     for (int epoch = 0; epoch < 3; ++epoch) {
       journal.append_begin(epoch, 20 + epoch);
       journal.append_settled(epoch, 21 + epoch);
+      journal.roll_segment();
     }
     // Segments 0..3; epoch 2's records live in segment 2, segment 3 is
     // the empty current tail.
@@ -188,11 +187,12 @@ TEST(Journal, CompactBelowUnlinksCoveredSegments) {
   Journal reopened(path);
   EXPECT_EQ(reopened.records().size(), records_kept);
   EXPECT_EQ(reopened.oldest_segment(), 2u);
-  // ...and genesis replay must refuse: history below the snapshot bound
-  // is gone, so a replay that silently started mid-stream would hand
-  // back a wrong network.
+  // ...and with no snapshot, recovery must refuse: history below the
+  // compaction bound is gone, so a replay that silently started
+  // mid-stream would hand back a wrong network.
   pcn::Network network = make_network(small_config(7));
-  EXPECT_THROW(replay_journal(reopened, network, small_config(7).policy),
+  EXPECT_THROW(recover(reopened, SnapshotStore(path), network,
+                       small_config(7).policy),
                JournalError);
 
   // However aggressive the bound, the current tail segment never goes.
@@ -282,7 +282,8 @@ TEST(Journal, WatermarksCommitAtOutcomeSettleAndDropAtAbort) {
     journal.append_begin(1, genesis, SeqWatermarks{{2, 7}});
   }
   Journal journal(path);
-  const RecoveryReport report = replay_journal(journal, network, config.policy);
+  const RecoveryReport report =
+      recover(journal, SnapshotStore(journal.path()), network, config.policy);
   EXPECT_EQ(report.rolled_back, 1);
   EXPECT_EQ(report.aborted_epochs, 1);
   EXPECT_EQ(report.watermarks, (SeqWatermarks{{2, 4}}));
@@ -294,7 +295,8 @@ TEST(Journal, EmptyJournalReplaysToGenesis) {
   pcn::Network network = make_network(small_config(7));
   const std::uint64_t genesis = network.state_digest();
   const RecoveryReport report =
-      replay_journal(journal, network, small_config(7).policy);
+      recover(journal, SnapshotStore(journal.path()),
+              network, small_config(7).policy);
   EXPECT_EQ(report.epochs_settled, 0);
   EXPECT_EQ(report.rolled_back, 0);
   EXPECT_EQ(report.next_epoch, 0);
@@ -324,7 +326,7 @@ TEST(Journal, ReplayReproducesServiceRunExactly) {
   Journal journal(path);
   pcn::Network recovered = make_network(config);
   const RecoveryReport report =
-      replay_journal(journal, recovered, config.policy);
+      recover(journal, SnapshotStore(journal.path()), recovered, config.policy);
   EXPECT_EQ(report.epochs_settled, 3);
   EXPECT_EQ(report.rolled_back, 0);
   EXPECT_EQ(report.aborted_epochs, 0);
@@ -364,7 +366,8 @@ TEST(Journal, InflightOutcomeAppliedExactlyOnceAndClosed) {
     Journal journal(path);
     pcn::Network recovered = make_network(config);
     const RecoveryReport report =
-        replay_journal(journal, recovered, config.policy);
+        recover(journal, SnapshotStore(journal.path()),
+                recovered, config.policy);
     EXPECT_TRUE(report.applied_inflight);
     EXPECT_EQ(report.epochs_settled, 1);
     EXPECT_EQ(report.next_epoch, 1);
@@ -381,7 +384,8 @@ TEST(Journal, InflightOutcomeAppliedExactlyOnceAndClosed) {
   // outcome is never applied twice.
   Journal journal(path);
   pcn::Network again = make_network(config);
-  const RecoveryReport second = replay_journal(journal, again, config.policy);
+  const RecoveryReport second =
+      recover(journal, SnapshotStore(journal.path()), again, config.policy);
   EXPECT_FALSE(second.applied_inflight);
   EXPECT_EQ(second.epochs_settled, 1);
   EXPECT_EQ(second.next_epoch, 1);
@@ -399,7 +403,7 @@ TEST(Journal, DanglingBeginRolledBackAndEpochReused) {
   }
   Journal journal(path);
   const RecoveryReport report =
-      replay_journal(journal, network, config.policy);
+      recover(journal, SnapshotStore(journal.path()), network, config.policy);
   EXPECT_EQ(report.rolled_back, 1);
   EXPECT_EQ(report.epochs_settled, 0);
   EXPECT_EQ(report.next_epoch, 0);
@@ -418,7 +422,7 @@ TEST(Journal, AbortedEpochReusesItsNumber) {
   }
   Journal journal(path);
   const RecoveryReport report =
-      replay_journal(journal, network, config.policy);
+      recover(journal, SnapshotStore(journal.path()), network, config.policy);
   EXPECT_EQ(report.aborted_epochs, 1);
   EXPECT_EQ(report.rolled_back, 0);
   EXPECT_EQ(report.next_epoch, 2);
@@ -440,7 +444,9 @@ TEST(Journal, WrongGenesisNetworkRejected) {
   }
   Journal journal(path);
   pcn::Network wrong = make_network(small_config(8));  // different seed
-  EXPECT_THROW(replay_journal(journal, wrong, config.policy), JournalError);
+  EXPECT_THROW(
+      recover(journal, SnapshotStore(journal.path()), wrong, config.policy),
+      JournalError);
 }
 
 TEST(Journal, MalformedRecordSequencesRejectedOnReplay) {
@@ -457,7 +463,9 @@ TEST(Journal, MalformedRecordSequencesRejectedOnReplay) {
     }
     Journal journal(path);
     pcn::Network net = make_network(config);
-    EXPECT_THROW(replay_journal(journal, net, config.policy), JournalError);
+    EXPECT_THROW(
+        recover(journal, SnapshotStore(journal.path()), net, config.policy),
+        JournalError);
   }
   {
     // ABORTED with no BEGIN.
@@ -468,7 +476,9 @@ TEST(Journal, MalformedRecordSequencesRejectedOnReplay) {
     }
     Journal journal(path);
     pcn::Network net = make_network(config);
-    EXPECT_THROW(replay_journal(journal, net, config.policy), JournalError);
+    EXPECT_THROW(
+        recover(journal, SnapshotStore(journal.path()), net, config.policy),
+        JournalError);
   }
 }
 

@@ -256,6 +256,80 @@ TEST(Wire, TruncatedErrorPayloadsThrow) {
   }
 }
 
+// A distinct value in every field, so a codec that drops, swaps or
+// narrows one cannot pass.
+TEST(Wire, StatsResponseRoundTripsEveryField) {
+  StatsResponseMsg msg;
+  ServiceStats& s = msg.service;
+  s.epochs_cleared = 1;
+  s.uptime_seconds = 2.5;
+  s.queue_depth = 3;
+  s.queue_capacity = 4;
+  s.queue_high_watermark = 5;
+  s.journal_bytes = 6;
+  s.imbalance_gini = 0.125;
+  s.imbalance_mean = 0.25;
+  s.solve_threads = 9;
+  s.last_components = 10;
+  s.largest_component = 11;
+  s.shed_level = 12;
+  s.ewma_clear_seconds = 0.0625;
+  s.deadline_exceeded = 14;
+  s.degraded_epochs = 15;
+  s.aborted_epochs = 16;
+  s.snapshot_age_seconds = 17.5;
+  s.epochs_since_snapshot = 18;
+  s.snapshots_taken = 19;
+  s.journal_segments = 20;
+  s.intake.accepted = 21;
+  s.intake.replaced = 22;
+  s.intake.rejected_full = 23;
+  s.intake.rejected_invalid = 24;
+  s.intake.rejected_closed = 25;
+  s.intake.duplicate = 26;
+  s.intake.rejected_overload = 27;
+  msg.registry_json = R"({"counters": {"svc.epoch.total": 28}})";
+
+  const std::string payload = encode_stats_response(msg);
+  const StatsResponseMsg back = decode_stats_response(payload);
+  const ServiceStats& b = back.service;
+  EXPECT_EQ(b.epochs_cleared, 1);
+  EXPECT_DOUBLE_EQ(b.uptime_seconds, 2.5);
+  EXPECT_EQ(b.queue_depth, 3u);
+  EXPECT_EQ(b.queue_capacity, 4u);
+  EXPECT_EQ(b.queue_high_watermark, 5u);
+  EXPECT_EQ(b.journal_bytes, 6u);
+  EXPECT_DOUBLE_EQ(b.imbalance_gini, 0.125);
+  EXPECT_DOUBLE_EQ(b.imbalance_mean, 0.25);
+  EXPECT_EQ(b.solve_threads, 9);
+  EXPECT_EQ(b.last_components, 10);
+  EXPECT_EQ(b.largest_component, 11);
+  EXPECT_EQ(b.shed_level, 12);
+  EXPECT_DOUBLE_EQ(b.ewma_clear_seconds, 0.0625);
+  EXPECT_EQ(b.deadline_exceeded, 14u);
+  EXPECT_EQ(b.degraded_epochs, 15u);
+  EXPECT_EQ(b.aborted_epochs, 16u);
+  EXPECT_DOUBLE_EQ(b.snapshot_age_seconds, 17.5);
+  EXPECT_EQ(b.epochs_since_snapshot, 18u);
+  EXPECT_EQ(b.snapshots_taken, 19u);
+  EXPECT_EQ(b.journal_segments, 20u);
+  EXPECT_EQ(b.intake.accepted, 21u);
+  EXPECT_EQ(b.intake.replaced, 22u);
+  EXPECT_EQ(b.intake.rejected_full, 23u);
+  EXPECT_EQ(b.intake.rejected_invalid, 24u);
+  EXPECT_EQ(b.intake.rejected_closed, 25u);
+  EXPECT_EQ(b.intake.duplicate, 26u);
+  EXPECT_EQ(b.intake.rejected_overload, 27u);
+  EXPECT_EQ(back.registry_json, msg.registry_json);
+
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_THROW(decode_stats_response(payload.substr(0, len)),
+                 std::runtime_error)
+        << "prefix of length " << len << " was accepted";
+  }
+  EXPECT_THROW(decode_stats_response(payload + "x"), WireError);
+}
+
 TEST(Wire, HelloRoundTrip) {
   HelloMsg msg;
   msg.player = 123;

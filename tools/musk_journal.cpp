@@ -63,17 +63,6 @@ std::vector<SnapshotInfo> scan_snapshots(const std::string& base) {
   return out;
 }
 
-const char* type_name(svc::RecordType type) {
-  switch (type) {
-    case svc::RecordType::kBegin: return "begin";
-    case svc::RecordType::kOutcome: return "outcome";
-    case svc::RecordType::kSettled: return "settled";
-    case svc::RecordType::kAborted: return "aborted";
-    case svc::RecordType::kDegraded: return "degraded";
-  }
-  return "unknown";
-}
-
 int cmd_inspect(const std::string& base) {
   const svc::JournalScan scan = svc::scan_journal(base);
   const std::vector<SnapshotInfo> snaps = scan_snapshots(base);
@@ -105,7 +94,7 @@ int cmd_inspect(const std::string& base) {
   std::printf("\nrecords: %zu total", scan.records.size());
   for (int t = 1; t <= 5; ++t) {
     std::printf(", %zu %s", per_type[t],
-                type_name(static_cast<svc::RecordType>(t)));
+                svc::to_string(static_cast<svc::RecordType>(t)));
   }
   std::printf("\nchain: %s%s%s\n", scan.clean ? "clean" : "DAMAGED",
               scan.note.empty() ? "" : " — ", scan.note.c_str());

@@ -51,11 +51,12 @@ int main(int argc, char** argv) {
 
   try {
     svc::Client client(connect);
-    const svc::StatsResponseMsg stats = client.stats();
+    const svc::StatsResponseMsg response = client.stats();
+    const svc::ServiceStats& stats = response.service;
 
     std::printf("musketeerd @ %s\n", connect.c_str());
     util::Table table({"stat", "value"});
-    table.add_row({"epochs cleared", std::to_string(stats.epoch)});
+    table.add_row({"epochs cleared", std::to_string(stats.epochs_cleared)});
     table.add_row({"uptime", util::format("%.1f s", stats.uptime_seconds)});
     table.add_row(
         {"queue depth / capacity",
@@ -105,7 +106,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(in.rejected_overload));
 
     if (dump_json) {
-      std::printf("\n%s\n", stats.registry_json.c_str());
+      std::printf("\n%s\n", response.registry_json.c_str());
     }
     return 0;
   } catch (const std::exception& error) {

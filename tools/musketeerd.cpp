@@ -22,13 +22,11 @@
 //                      --nodes/--seed/--skew) — and resumes at the
 //                      recovered epoch                       [off]
 //   --snapshot-every <n>  checkpoint cadence: every n settled epochs,
-//                      snapshot the recovery state and compact journal
-//                      segments the snapshot covers, bounding both the
-//                      journal's disk footprint and restart time by the
-//                      tail length (0 = journal-only)        [0]
-//   --segment-bytes <n>  roll the journal to a new segment once the
-//                      live segment reaches n bytes (at an epoch
-//                      boundary; 0 = size-based rolls off)   [0]
+//                      start a new journal segment, snapshot the
+//                      recovery state and compact journal segments the
+//                      snapshot covers, bounding both the journal's
+//                      disk footprint and restart time by the tail
+//                      length (0 = journal-only)             [0]
 //   --journal-keep <n> validated snapshots to retain; older ones are
 //                      deleted after each successful snapshot [2]
 //   --deadline-ms <ms> per-epoch clearing deadline: a solve that runs
@@ -77,8 +75,7 @@ int usage() {
                "[--queue-cap n] [--threads n] [--journal path] "
                "[--trace-out path]\n"
                "                  [--deadline-ms ms] [--degrade m,m,...]\n"
-               "                  [--snapshot-every n] [--segment-bytes n] "
-               "[--journal-keep n]\n");
+               "                  [--snapshot-every n] [--journal-keep n]\n");
   return 1;
 }
 
@@ -121,8 +118,6 @@ int main(int argc, char** argv) {
         config.journal_path = value;
       } else if (flag == "--snapshot-every") {
         config.snapshot_every = static_cast<int>(std::stol(value));
-      } else if (flag == "--segment-bytes") {
-        config.max_segment_bytes = std::stoull(value);
       } else if (flag == "--journal-keep") {
         config.keep_snapshots = static_cast<int>(std::stol(value));
       } else if (flag == "--deadline-ms") {
