@@ -3,8 +3,12 @@
 // Every solver iteration now passes MUSK_CANCEL_POINT: one branch when
 // no token is installed, one relaxed atomic load (plus a steady-clock
 // read while a deadline is armed) when one is. DESIGN.md §14 promises
-// the disabled path is noise next to the O(m) residual rebuild each
-// iteration already performs; this bench is the gate on that promise.
+// an armed-but-idle token is noise; this bench is the gate on that
+// promise. A Bellman–Ford iteration rebuilds an O(m) residual network,
+// which hides the poll; a network simplex pivot block-searches only
+// ~sqrt(m) arcs plus its cycle and moved subtree, so the simplex shows
+// the poll more: ~1.00x armed/null, and ~1.09–1.11x timed/null, where
+// every pivot reads the clock (not gated).
 //
 // Three variants run the identical solve workload per solver kind:
 //

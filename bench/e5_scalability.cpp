@@ -5,6 +5,7 @@
 
 #include "core/m3_double_auction.hpp"
 #include "flow/decompose.hpp"
+#include "flow/network_simplex.hpp"
 #include "flow/solver.hpp"
 #include "gen/game_gen.hpp"
 #include "util/bench_json.hpp"
@@ -35,18 +36,23 @@ BENCHMARK(BM_SolveCirculationBellmanFord)
     ->Complexity()
     ->Unit(benchmark::kMillisecond);
 
+// The production path: one solve from zero flow on a reused Workspace,
+// as flow::SolveContext runs it every epoch. n=1600 and n=3200 are the
+// scale rows on the way to Lightning's ~15k nodes.
 void BM_SolveCirculationNetworkSimplex(benchmark::State& state) {
   const core::Game game = make_game(static_cast<flow::NodeId>(state.range(0)));
   const flow::Graph g = game.build_graph(game.truthful_bids());
+  flow::Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        flow::solve_max_welfare(g, flow::SolverKind::kNetworkSimplex));
+    benchmark::DoNotOptimize(flow::solve_network_simplex(g, ws));
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_SolveCirculationNetworkSimplex)
     ->RangeMultiplier(2)
     ->Range(32, 1024)
+    ->Arg(1600)
+    ->Arg(3200)
     ->Complexity()
     ->Unit(benchmark::kMillisecond);
 

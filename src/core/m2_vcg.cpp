@@ -89,6 +89,8 @@ std::vector<double> exclusion_prices(flow::SolveContext& ctx,
                    static_cast<std::uint64_t>(stats.pivots));
     MUSK_OBS_COUNT("flow.solve.zero_certified_total",
                    static_cast<std::uint64_t>(stats.zero_flow_certified));
+    MUSK_OBS_COUNT("flow.bf.passes_total",
+                   static_cast<std::uint64_t>(stats.bf_passes));
   });
   return prices;
 }

@@ -19,7 +19,11 @@ std::optional<std::vector<int>> find_negative_cycle(
     NodeId num_nodes, std::span<const ResidualArc> arcs);
 
 /// Scratch-reusing variant (bit-identical result): distance/predecessor
-/// tables live in `scratch` and are reused across calls.
+/// tables live in `scratch` and are reused across calls, and
+/// `scratch.passes` records the relaxation passes this call made. After
+/// each pass the predecessor walk from the last updated node returns the
+/// first cycle it closes, so a graph with a negative cycle usually stops
+/// within a few passes, not n.
 std::optional<std::vector<int>> find_negative_cycle(
     NodeId num_nodes, std::span<const ResidualArc> arcs,
     BellmanFordScratch& scratch);

@@ -78,11 +78,14 @@ Circulation SolveContext::solve(SolveStats* stats) {
                  static_cast<std::uint64_t>(local.pivots));
   MUSK_OBS_COUNT("flow.solve.zero_certified_total",
                  static_cast<std::uint64_t>(local.zero_flow_certified));
+  MUSK_OBS_COUNT("flow.bf.passes_total",
+                 static_cast<std::uint64_t>(local.bf_passes));
   MUSK_OBS_HISTOGRAM("flow.solve.seconds", span.end());
   if (stats != nullptr) {
     stats->cycles_cancelled += local.cycles_cancelled;
     stats->units_pushed += local.units_pushed;
     stats->pivots += local.pivots;
+    stats->bf_passes += local.bf_passes;
     stats->zero_flow_certified += local.zero_flow_certified;
     stats->fallbacks += local.fallbacks;
   }

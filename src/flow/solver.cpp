@@ -19,6 +19,7 @@ Circulation solve_bellman_ford(const Graph& g, Workspace& ws,
     // disjoint cycle per pass: on PCN-like graphs the predecessor forest
     // rarely holds more than one disjoint cycle (EXPERIMENTS.md, E7).
     const auto cycle = find_negative_cycle(g.num_nodes(), ws.arcs, ws.bf);
+    if (stats != nullptr) stats->bf_passes += ws.bf.passes;
     if (!cycle) break;
     const Amount amount = bottleneck(ws.arcs, *cycle);
     push_along(ws.arcs, *cycle, amount, f);

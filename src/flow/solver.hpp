@@ -45,8 +45,8 @@ enum class SolverKind {
   /// network simplex's pivot-cap fallback.
   kBellmanFord = 0,
   /// Network simplex (see flow/network_simplex.hpp): the default. Each
-  /// pivot costs an O(m) pricing scan plus the re-hung subtree, instead
-  /// of an O(n*m) cancellation.
+  /// pivot costs a block search of ~sqrt(m) arcs, the tree cycle and the
+  /// moved subtree, instead of an O(n*m) cancellation.
   kNetworkSimplex = 3,
 };
 
@@ -57,6 +57,9 @@ struct SolveStats {
   Amount units_pushed = 0;
   /// Network simplex pivots, bound flips and degenerate pivots included.
   int pivots = 0;
+  /// Bellman–Ford relaxation passes over the residual arcs, summed over
+  /// the zero-flow certificate, the canceller and the pivot-cap fallback.
+  long long bf_passes = 0;
   /// Network simplex solves the zero-flow certificate closed without a
   /// pivot: the graph had no positive-welfare cycle.
   int zero_flow_certified = 0;

@@ -26,9 +26,17 @@ namespace musketeer::flow {
 struct BellmanFordScratch {
   std::vector<std::int64_t> dist;
   std::vector<int> parent_arc;
+  /// Per node, the last pass whose predecessor walk visited it.
+  std::vector<int> stamp;
+  /// Relaxation passes the last run made over the arcs.
+  int passes = 0;
 };
 
-/// Scratch for the network simplex basis (arcs, tree, potentials).
+/// Scratch for the network simplex: arcs, basis, potentials, and the
+/// threaded index of the spanning tree (Király & Kovács, "Efficient
+/// implementations of minimum-cost flow algorithms", 2012, as in LEMON).
+/// Node n is the virtual root. The tree arrays hold one entry per node,
+/// the root included.
 struct SimplexScratch {
   struct Arc {
     NodeId from = 0;
@@ -36,26 +44,36 @@ struct SimplexScratch {
     Amount capacity = 0;
     std::int64_t cost = 0;  // minimization cost = -scaled gain
   };
-  /// One pivot-cycle traversal step.
-  struct Step {
-    std::size_t arc = 0;
-    bool forward = true;  // cycle traverses the arc in its own direction
-  };
   std::vector<Arc> arcs;
   std::vector<Amount> flow;
+  /// Pricing sign: +1 at the lower bound, -1 at the upper bound, 0 in
+  /// the tree. An arc violates optimality iff state * reduced cost < 0.
   std::vector<signed char> state;
-  std::vector<int> parent_arc;
-  std::vector<int> depth;
   /// Node potentials of the current basis; after an optimal solve, the
   /// LP duals that flow::verify_dual checks.
   std::vector<std::int64_t> pi;
-  /// Tree arcs incident to each node but the root.
-  std::vector<std::vector<std::size_t>> adjacency;
-  /// The subtree a pivot re-hangs, in visit order.
-  std::vector<NodeId> subtree;
-  std::vector<Step> path;
-  std::vector<Step> from_target;
-  std::vector<Step> from_source;
+  /// Tree parent (-1 at the root), and the tree arc to it (`pred`, -1 at
+  /// the root): +1 in `pred_dir` when that arc points from the node up
+  /// to its parent, -1 when it points down.
+  std::vector<NodeId> parent;
+  std::vector<int> pred;
+  std::vector<signed char> pred_dir;
+  /// The tree in preorder, as one cycle through every node from the
+  /// root, and its inverse.
+  std::vector<NodeId> thread;
+  std::vector<NodeId> rev_thread;
+  /// Subtree size, and the subtree's last node in thread order: a
+  /// node's subtree is the thread range from it to its last_succ.
+  std::vector<int> succ_num;
+  std::vector<NodeId> last_succ;
+  /// Nodes whose successor a pivot's re-thread changed (reserved to the
+  /// node count, so pivots allocate nothing).
+  std::vector<NodeId> dirty_revs;
+  /// Buffers for flow::simplex_basis_ok (each node's thread position,
+  /// and subtree sizes), so the basis check audit builds run after every
+  /// pivot allocates nothing either.
+  std::vector<std::size_t> check_pos;
+  std::vector<int> check_size;
 };
 
 /// Scratch for the sign-consistent cycle decomposition peel.

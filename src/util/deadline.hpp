@@ -5,9 +5,12 @@
 // CancelToken at its iteration boundaries via MUSK_CANCEL_POINT. The
 // token is "cheap by default": a null token costs one branch, an armed
 // token one relaxed atomic load plus (when a deadline is set) a
-// steady-clock read per iteration — each iteration already rebuilds an
-// O(m) residual network, so the check is noise (bench/deadline_overhead
-// gates it at < 1.03x solver ns/op).
+// steady-clock read per iteration. A Bellman–Ford iteration rebuilds an
+// O(m) residual network, but a network simplex pivot only block-searches
+// ~sqrt(m) arcs and walks its cycle and moved subtree, so there the poll
+// is a visible share: bench/deadline_overhead measured the simplex at
+// ~1.00x armed/null and ~1.09–1.11x with a deadline's clock read
+// (timed/null), and gates the armed/null aggregate at < 1.03x.
 //
 // Only poll() fires a token: the first poll past the deadline (or past a
 // test's trip_after count) latches the shared flag, and every other

@@ -90,5 +90,39 @@ TEST(BellmanFordTest, BackwardArcsEnableCycleAfterFlow) {
   EXPECT_EQ(cycle->size(), 2u);
 }
 
+/// A 500-node path p0 -> ... -> p499 into node c0 of the 3-cycle
+/// c0 -> c1 -> c2 -> c0 (nodes 500–502), every arc at cost -1. The path
+/// arcs are listed back to front, so distances travel one node per pass
+/// and the path alone converges in its 501st pass; the cycle's arcs are
+/// listed against its direction, after the entry arc, so its predecessor
+/// links close only once the cycle undercuts the entry.
+std::vector<ResidualArc> path_into_cycle(bool with_cycle) {
+  std::vector<ResidualArc> arcs;
+  const auto arc = [&arcs](NodeId from, NodeId to) {
+    arcs.push_back(ResidualArc{from, to, -1, 1, 0, true});
+  };
+  for (NodeId v = 498; v >= 0; --v) arc(v, v + 1);
+  arc(499, 500);
+  if (with_cycle) arc(502, 500);
+  arc(501, 502);
+  arc(500, 501);
+  return arcs;
+}
+
+// The predecessor walk after each pass returns the cycle as soon as its
+// links close, instead of running all n = 503 passes; without the
+// closing arc the same path still converges to "no cycle".
+TEST(BellmanFord, StopsAtFirstPredecessorCycle) {
+  BellmanFordScratch scratch;
+  const auto cycle = find_negative_cycle(503, path_into_cycle(true), scratch);
+  ASSERT_TRUE(cycle.has_value());
+  EXPECT_EQ(cycle->size(), 3u);
+  EXPECT_EQ(scratch.passes, 3);
+
+  EXPECT_FALSE(
+      find_negative_cycle(503, path_into_cycle(false), scratch).has_value());
+  EXPECT_EQ(scratch.passes, 501);
+}
+
 }  // namespace
 }  // namespace musketeer::flow

@@ -112,6 +112,8 @@ TEST(CancelTest, ArmedNeverFiringTokenIsBitIdenticalToNullToken) {
       EXPECT_EQ(armed_stats.cycles_cancelled, plain_stats.cycles_cancelled)
           << "seed " << seed;
       EXPECT_EQ(armed_stats.pivots, plain_stats.pivots) << "seed " << seed;
+      EXPECT_EQ(armed_stats.bf_passes, plain_stats.bf_passes)
+          << "seed " << seed;
       EXPECT_EQ(armed_stats.zero_flow_certified,
                 plain_stats.zero_flow_certified)
           << "seed " << seed;

@@ -105,24 +105,64 @@ TEST_P(NetworkSimplexRandomTest, AgreesWithBellmanFordExactly) {
     if (u == v) v = static_cast<NodeId>((v + 1) % n);
     g.add_edge(u, v, rng.uniform_int(1, 30), rng.uniform_real(-0.05, 0.05));
   }
-  const Circulation f_ns = solve_ns(g);
+  Workspace ws;
+  SolveStats stats;
+  const Circulation f_ns =
+      solve_max_welfare(g, ws, SolverKind::kNetworkSimplex, &stats);
   const Circulation f_bf = solve_max_welfare(g, SolverKind::kBellmanFord);
   ASSERT_TRUE(is_feasible(g, f_ns));
   EXPECT_TRUE(is_optimal(g, f_ns)) << "no exact optimality certificate";
   EXPECT_EQ(scaled_welfare(g, f_ns), scaled_welfare(g, f_bf));
+  EXPECT_EQ(stats.fallbacks, 0);
+  if (stats.zero_flow_certified == 0) {
+    EXPECT_TRUE(simplex_basis_ok(ws.ns));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, NetworkSimplexRandomTest,
                          ::testing::Range<std::uint64_t>(2000, 2080));
 
+// Toward Lightning's ~15k nodes: one solve at n=3200 (~12.8k edges). No
+// timing is asserted; bench/e5_scalability has the scale rows.
 TEST(NetworkSimplexTest, LightningScaleGameSolves) {
   util::Rng rng(4096);
   gen::GameConfig config;
   config.depleted_share = 0.3;
-  const core::Game game = gen::random_ba_game(256, 2, config, rng);
+  const core::Game game = gen::random_ba_game(3200, 2, config, rng);
   const Graph g = game.build_graph(game.truthful_bids());
-  const Circulation f = solve_ns(g);
+  Workspace ws;
+  SolveStats stats;
+  const Circulation f = solve_network_simplex(g, ws, &stats);
+  ASSERT_GT(stats.pivots, 0);
+  EXPECT_TRUE(verify_dual(g, f, ws.ns.pi));
   EXPECT_TRUE(is_optimal(g, f));
+  EXPECT_EQ(stats.fallbacks, 0);
+}
+
+// Degenerate ties everywhere: every third edge at capacity 0 (a
+// depleted channel or a masked buyer) and every gain of one magnitude.
+// The strongly feasible leaving rule must still terminate without the
+// pivot cap's fallback.
+TEST(NetworkSimplexTest, TieHeavyGameFinishesWithoutFallback) {
+  util::Rng rng(77);
+  const core::Game game = gen::random_ba_game(200, 2, gen::GameConfig{}, rng);
+  const Graph base = game.build_graph(game.truthful_bids());
+  Graph g(base.num_nodes());
+  for (EdgeId e = 0; e < base.num_edges(); ++e) {
+    const Edge& edge = base.edge(e);
+    const ScaledGain gain = base.scaled_gain(e);
+    g.add_edge(edge.from, edge.to, e % 3 == 0 ? 0 : edge.capacity,
+               gain > 0 ? 0.01 : (gain < 0 ? -0.01 : 0.0));
+  }
+  Workspace ws;
+  SolveStats stats;
+  const Circulation f = solve_network_simplex(g, ws, &stats);
+  ASSERT_GT(stats.pivots, 0);
+  EXPECT_EQ(stats.fallbacks, 0);
+  EXPECT_TRUE(simplex_basis_ok(ws.ns));
+  EXPECT_TRUE(is_optimal(g, f));
+  EXPECT_EQ(scaled_welfare(g, f),
+            scaled_welfare(g, solve_max_welfare(g, SolverKind::kBellmanFord)));
 }
 
 /// The games bench/e7_solver_ablation solves, in its order: three
@@ -142,20 +182,26 @@ std::vector<Graph> e7_games() {
   return games;
 }
 
-// The subtree update must leave the Dantzig pivot sequence exactly as a
-// full tree rebuild after every pivot had it: these are the pivot counts
-// of that rebuild on E7's games (means 48 / 135 / 259 / 577 per size).
+// The pivot sequence of block-search pricing (resuming after the last
+// block, from arc 0 on every solve) with the strongly feasible leaving
+// rule, on E7's games through one reused workspace: a change to either
+// rule, or a result that depends on the workspace's history, moves these.
 TEST(NetworkSimplexTest, PivotCountsPinnedOnE7Games) {
-  const int want[] = {39,  65,  41,  133, 134, 138,
-                      254, 248, 276, 563, 597, 572};
+  const int want[] = {44,  63,  57,  130, 146, 164,
+                      320, 311, 329, 720, 702, 651};
   const std::vector<Graph> games = e7_games();
   ASSERT_EQ(games.size(), std::size(want));
   Workspace ws;
   for (std::size_t i = 0; i < games.size(); ++i) {
     SolveStats stats;
-    solve_network_simplex(games[i], ws, &stats);
+    const Circulation f = solve_network_simplex(games[i], ws, &stats);
     EXPECT_EQ(stats.pivots, want[i]) << "game " << i;
     EXPECT_EQ(stats.fallbacks, 0) << "game " << i;
+    EXPECT_TRUE(simplex_basis_ok(ws.ns)) << "game " << i;
+    EXPECT_EQ(scaled_welfare(games[i], f),
+              scaled_welfare(games[i], solve_max_welfare(
+                                           games[i], SolverKind::kBellmanFord)))
+        << "game " << i;
   }
 }
 

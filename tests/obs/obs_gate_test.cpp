@@ -8,7 +8,8 @@
 //   * Outcome invariance — a deterministic service run settles to the
 //     same network digest with tracing enabled as with it disabled.
 //   * Counting — M2's exclusion solves, which bypass
-//     SolveContext::solve, still count themselves.
+//     SolveContext::solve, still count themselves, and Bellman–Ford
+//     passes are counted on both paths.
 #include <cstdint>
 #include <set>
 #include <string>
@@ -105,6 +106,35 @@ TEST(ObsGate, VcgExclusionSolvesAreCounted) {
   const std::uint64_t before = solves.value();
   core::M2Vcg().vcg_prices(ctx, game, bids);
   EXPECT_EQ(solves.value() - before, buyers.size());
+}
+
+// flow.bf.passes_total counts a context solve's Bellman–Ford passes
+// exactly as its SolveStats do; under M2 every exclusion solve adds its
+// own certificate's passes, at least one each.
+TEST(ObsGate, BellmanFordPassesAreCounted) {
+  util::Rng rng(0xBF);
+  const core::Game game = gen::random_ba_game(30, 2, gen::GameConfig{}, rng);
+  const core::BidVector bids = game.truthful_bids();
+  const Counter& passes = registry().counter("flow.bf.passes_total");
+
+  flow::SolveContext ctx;
+  game.bind_graph(ctx, bids);
+  flow::SolveStats stats;
+  std::uint64_t before = passes.value();
+  ctx.solve(&stats);
+  ASSERT_GT(stats.bf_passes, 0);
+  EXPECT_EQ(passes.value() - before,
+            static_cast<std::uint64_t>(stats.bf_passes));
+
+  before = passes.value();
+  core::M2Vcg().vcg_prices(ctx, game, bids);
+  std::set<core::PlayerId> buyers;
+  for (core::EdgeId e = 0; e < game.num_edges(); ++e) {
+    if (bids.head[static_cast<std::size_t>(e)] > 0.0) {
+      buyers.insert(game.edge(e).to);
+    }
+  }
+  EXPECT_GT(passes.value() - before, buyers.size());
 }
 
 }  // namespace

@@ -288,6 +288,7 @@ TEST_P(ShardedEquivalenceTest, QuiescentBesideActiveComponentMatchesFlatSolve) {
   EXPECT_EQ(got_stats.zero_flow_certified, want_stats.zero_flow_certified)
       << where;
   EXPECT_EQ(got_stats.pivots, want_stats.pivots) << where;
+  EXPECT_EQ(got_stats.bf_passes, want_stats.bf_passes) << where;
   EXPECT_EQ(got_stats.cycles_cancelled, want_stats.cycles_cancelled) << where;
   EXPECT_EQ(got_stats.units_pushed, want_stats.units_pushed) << where;
   EXPECT_EQ(got_stats.fallbacks, want_stats.fallbacks) << where;
@@ -355,6 +356,7 @@ TEST(ShardedStatsTest, CountersSumAcrossComponents) {
   // "last component wins" regression would under-report here.
   EXPECT_GT(want.pivots, 0);
   EXPECT_EQ(got.pivots, want.pivots);
+  EXPECT_EQ(got.bf_passes, want.bf_passes);
   EXPECT_EQ(got.zero_flow_certified, want.zero_flow_certified);
   EXPECT_EQ(got.cycles_cancelled, want.cycles_cancelled);
   EXPECT_EQ(got.units_pushed, want.units_pushed);
