@@ -16,16 +16,18 @@
 //   armed   an armed token with Deadline::never()   — flag checked
 //   timed   an armed token with a far-future expiry — flag + clock
 //
-// Measurement is sliced: each slice times one short pass per variant
-// back to back, and the reported time is the fastest slice. Contention
-// noise is strictly additive and bursty, so a 3%-wide gate needs minima
-// taken over many small windows — a burst then has to cover every
-// window of one variant while sparing the other to skew the ratio. The
-// gate compares the aggregate armed/null ratio across all kinds against
-// 1.03x. Results are cross-checked bit-identical between variants, and
-// the per-kind table plus BENCH_deadline_overhead.json record details.
+// Measurement is sliced by time: each slice times one run per variant
+// and kind back to back, every run sized (by a calibrated repetition
+// count) to take at least the slice target on the null variant. The
+// paired armed/null ratio of a slice sums both kinds, and the gate
+// compares the median of those ratios over all slices against 1.03x.
+// Pairing cancels the host's slow drift, the median discards slices a
+// burst of contention spoiled, and sizing by time keeps each run long
+// enough to time however fast the solvers get. Results are
+// cross-checked bit-identical between variants, and the per-kind table
+// plus BENCH_deadline_overhead.json record details.
 //
-// Set MUSK_BENCH_SHORT=1 for the CI smoke variant (fewer reps/trials).
+// Set MUSK_BENCH_SHORT=1 for the CI smoke variant (shorter, fewer slices).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -38,6 +40,7 @@
 #include "util/bench_json.hpp"
 #include "util/deadline.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 
 using namespace musketeer;
@@ -85,6 +88,22 @@ double run_variant(const std::vector<flow::Graph>& graphs,
   return seconds_since(t0);
 }
 
+/// Repetitions of the graph set that make one null run take at least
+/// `target_s` seconds.
+int calibrate_reps(const std::vector<flow::Graph>& graphs,
+                   flow::SolverKind kind, const Variant& null_variant,
+                   double target_s) {
+  int reps = 1;
+  for (;;) {
+    flow::Amount checksum = 0;
+    const double s = run_variant(graphs, kind, null_variant, reps, checksum);
+    if (s >= target_s) return reps;
+    reps = s > 0.0 ? std::max(reps + 1,
+                              static_cast<int>(1.2 * reps * target_s / s))
+                   : reps * 2;
+  }
+}
+
 const char* kind_name(flow::SolverKind kind) {
   switch (kind) {
     case flow::SolverKind::kBellmanFord: return "bellman-ford";
@@ -116,13 +135,16 @@ int main() {
     util::Rng rng(static_cast<std::uint64_t>(100 + i));
     graphs.push_back(random_graph(60, 220, rng));
   }
-  const int reps_per_slice = short_mode ? 1 : 2;
-  const int slices = short_mode ? 32 : 80;
+  const double slice_target_s = short_mode ? 0.010 : 0.025;
+  const int slices = short_mode ? 21 : 41;
+  bench.config("slice_target_s", slice_target_s);
+  bench.config("slices", static_cast<std::int64_t>(slices));
 
   const flow::SolverKind kinds[] = {
       flow::SolverKind::kBellmanFord,
       flow::SolverKind::kNetworkSimplex,
   };
+  constexpr int kKinds = 2;
 
   util::CancelToken armed;
   armed.arm(util::Deadline::never());
@@ -134,48 +156,70 @@ int main() {
       {"timed", &timed},
   };
 
-  util::Table table({"solver", "null s", "armed s", "timed s", "armed/null",
-                     "timed/null"});
-  double total_null = 0.0;
-  double total_armed = 0.0;
-  for (const flow::SolverKind kind : kinds) {
+  int reps[kKinds];
+  for (int k = 0; k < kKinds; ++k) {
     // Warmup sizes the workspace and faults the graphs in.
     flow::Amount checksum = 0;
-    run_variant(graphs, kind, variants[0], 1, checksum);
+    run_variant(graphs, kinds[k], variants[0], 1, checksum);
+    reps[k] = calibrate_reps(graphs, kinds[k], variants[0], slice_target_s);
+  }
 
-    double best[3] = {0.0, 0.0, 0.0};
-    flow::Amount sums[3] = {0, 0, 0};
-    for (int slice = 0; slice < slices; ++slice) {
-      for (int v = 0; v < 3; ++v) {
-        flow::Amount sum = 0;
-        const double s =
-            run_variant(graphs, kind, variants[v], reps_per_slice, sum);
-        if (slice == 0 || s < best[v]) best[v] = s;
-        sums[v] = sum;
+  // seconds[k][v]: one entry per slice. slice_ratio: the gated paired
+  // armed/null ratio of each slice, both kinds summed.
+  std::vector<double> seconds[kKinds][3];
+  std::vector<double> slice_ratio;
+  for (int slice = 0; slice < slices; ++slice) {
+    double null_s = 0.0;
+    double armed_s = 0.0;
+    for (int k = 0; k < kKinds; ++k) {
+      flow::Amount sums[3] = {0, 0, 0};
+      for (int i = 0; i < 3; ++i) {
+        // Alternate the order so neither variant always runs first.
+        const int v = slice % 2 == 0 ? i : 2 - i;
+        seconds[k][v].push_back(
+            run_variant(graphs, kinds[k], variants[v], reps[k], sums[v]));
       }
+      MUSK_ASSERT_MSG(sums[0] == sums[1] && sums[0] == sums[2],
+                      "cancel-token variants diverged");
+      null_s += seconds[k][0].back();
+      armed_s += seconds[k][1].back();
     }
-    MUSK_ASSERT_MSG(sums[0] == sums[1] && sums[0] == sums[2],
-                    "cancel-token variants diverged");
-    total_null += best[0];
-    total_armed += best[1];
+    slice_ratio.push_back(armed_s / null_s);
+  }
 
-    const std::uint64_t solves = static_cast<std::uint64_t>(reps_per_slice) *
+  util::Table table({"solver", "solves/run", "null s", "armed s", "timed s",
+                     "armed/null", "timed/null"});
+  for (int k = 0; k < kKinds; ++k) {
+    std::vector<double> armed_ratio;
+    std::vector<double> timed_ratio;
+    for (int slice = 0; slice < slices; ++slice) {
+      const auto i = static_cast<std::size_t>(slice);
+      armed_ratio.push_back(seconds[k][1][i] / seconds[k][0][i]);
+      timed_ratio.push_back(seconds[k][2][i] / seconds[k][0][i]);
+    }
+    const std::uint64_t solves = static_cast<std::uint64_t>(reps[k]) *
                                  static_cast<std::uint64_t>(graphs.size());
-    bench.add_seconds(util::format("%s/null", kind_name(kind)), best[0],
-                      solves);
-    bench.add_seconds(util::format("%s/armed", kind_name(kind)), best[1],
-                      solves);
-    bench.add_seconds(util::format("%s/timed", kind_name(kind)), best[2],
-                      solves);
-    table.add_row({kind_name(kind), util::fmt_double(best[0], 4),
-                   util::fmt_double(best[1], 4), util::fmt_double(best[2], 4),
-                   util::format("%.3fx", best[1] / best[0]),
-                   util::format("%.3fx", best[2] / best[0])});
+    double median_s[3];
+    for (int v = 0; v < 3; ++v) {
+      median_s[v] = util::median(seconds[k][v]);
+      bench.add_seconds(
+          util::format("%s/%s", kind_name(kinds[k]), variants[v].label),
+          median_s[v], solves);
+    }
+    table.add_row({kind_name(kinds[k]), std::to_string(solves),
+                   util::fmt_double(median_s[0], 4),
+                   util::fmt_double(median_s[1], 4),
+                   util::fmt_double(median_s[2], 4),
+                   util::format("%.3fx", util::median(armed_ratio)),
+                   util::format("%.3fx", util::median(timed_ratio))});
   }
   table.print();
+  std::printf("(medians over %d slices of >= %.0f ms per run)\n", slices,
+              1e3 * slice_target_s);
 
-  const double ratio = total_armed / total_null;
-  std::printf("\naggregate armed/null ratio: %.4fx (gate < 1.03x)\n", ratio);
+  const double ratio = util::median(slice_ratio);
+  std::printf("\nmedian paired armed/null ratio: %.4fx (gate < 1.03x)\n",
+              ratio);
   bench.config("armed_over_null", ratio);
   // The §14 gate: an armed-but-idle token must be within measurement
   // noise of running with deadlines disabled.

@@ -1,10 +1,13 @@
 #include "svc/server.hpp"
 
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <iterator>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -19,10 +22,39 @@ namespace {
 /// re-checks its stop condition at least this often.
 constexpr int kPollMillis = 100;
 
+/// Room for two maximal frames. A consumer further behind than that is
+/// dropped rather than buffered without bound.
+constexpr std::size_t kMaxOutboxBytes =
+    2 * (kMaxFramePayload + kFrameHeaderBytes);
+
+/// One outbound frame, through the chaos hook that may drop, truncate or
+/// corrupt it (a lost or mangled ack is what forces clients into
+/// idempotent resubmission).
+std::string outbound_frame(MsgType type, std::string_view payload) {
+  std::string frame;
+  append_frame(frame, type, payload);
+  MUSK_FAULT_MUTATE("wire.server.send", frame);
+  return frame;
+}
+
 }  // namespace
 
+SocketServer::Connection::~Connection() {
+  // The thread polls both fds until it exits.
+  if (thread.joinable()) {
+    thread.request_stop();
+    thread.join();
+  }
+  if (fd >= 0) ::close(fd);
+  if (wake_fd >= 0) ::close(wake_fd);
+}
+
 SocketServer::SocketServer(RebalanceService& service, ServerConfig config)
-    : service_(service), config_(std::move(config)) {}
+    : service_(service),
+      config_(std::move(config)),
+      // Registered up front, so stats show the counter at zero.
+      slow_consumer_dropped_(
+          obs::registry().counter("svc.server.slow_consumer_dropped_total")) {}
 
 SocketServer::~SocketServer() { stop(); }
 
@@ -57,10 +89,7 @@ void SocketServer::stop() {
     conn->thread.request_stop();
     ::shutdown(conn->fd, SHUT_RDWR);
   }
-  for (auto& conn : connections) {
-    if (conn->thread.joinable()) conn->thread.join();
-    ::close(conn->fd);
-  }
+  connections.clear();
   // Best-effort cleanup of the listening socket node: nothing durable
   // lives at this path and a leftover node is reclaimed by the next
   // bind's connect-probe.
@@ -80,12 +109,14 @@ void SocketServer::accept_loop(const std::stop_token& stop) {
       if (errno == EINTR) continue;
       break;
     }
+    std::vector<std::unique_ptr<Connection>> finished;
     {
       const util::OrderedLock lock(connections_mutex_);
-      prune_finished_locked();
+      finished = take_finished_locked();
     }
+    finished.clear();
     if (rc == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = accept_from(listen_fd_, endpoint_);
     if (fd < 0) continue;
     const util::OrderedLock lock(connections_mutex_);
     if (connections_.size() >=
@@ -110,6 +141,8 @@ void SocketServer::accept_loop(const std::stop_token& stop) {
     }
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
+    conn->wake_fd = ::eventfd(0, EFD_NONBLOCK);
+    if (conn->wake_fd < 0) continue;  // conn's dtor closes fd
     Connection* raw = conn.get();
     conn->thread = std::jthread(
         [this, raw](const std::stop_token& s) { connection_loop(s, raw); });
@@ -118,29 +151,47 @@ void SocketServer::accept_loop(const std::stop_token& stop) {
   }
 }
 
-void SocketServer::prune_finished_locked() {
+std::vector<std::unique_ptr<SocketServer::Connection>>
+SocketServer::take_finished_locked() {
   connections_mutex_.assert_held();
-  std::erase_if(connections_, [](const std::unique_ptr<Connection>& conn) {
-    if (!conn->done.load()) return false;
-    ::close(conn->fd);
-    return true;  // unique_ptr dtor joins the (finished) jthread
-  });
+  const auto first_done =
+      std::partition(connections_.begin(), connections_.end(),
+                     [](const std::unique_ptr<Connection>& conn) {
+                       return !conn->done.load();
+                     });
+  std::vector<std::unique_ptr<Connection>> finished(
+      std::make_move_iterator(first_done),
+      std::make_move_iterator(connections_.end()));
+  connections_.erase(first_done, connections_.end());
+  return finished;
 }
 
 void SocketServer::connection_loop(const std::stop_token& stop,
                                    Connection* conn) {
   char buf[4096];
   FrameParser parser;
-  while (!stop.stop_requested()) {
-    pollfd pfd{};
-    pfd.fd = conn->fd;
-    pfd.events = POLLIN;
-    const int rc = ::poll(&pfd, 1, kPollMillis);
-    if (rc < 0) {
+  while (!stop.stop_requested() && !conn->done.load()) {
+    bool pending = false;
+    {
+      const util::OrderedLock lock(conn->write_mutex);
+      flush_locked(conn);
+      pending = !conn->outbox.empty();
+    }
+    pollfd pfds[2]{};
+    pfds[0].fd = conn->fd;
+    pfds[0].events = static_cast<short>(POLLIN | (pending ? POLLOUT : 0));
+    pfds[1].fd = conn->wake_fd;
+    pfds[1].events = POLLIN;
+    if (::poll(pfds, 2, kPollMillis) < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    if (rc == 0) continue;
+    if ((pfds[1].revents & POLLIN) != 0) {
+      eventfd_t signals = 0;
+      ::eventfd_read(conn->wake_fd, &signals);
+    }
+    // A wake-up or POLLOUT needs only the flush at the top of the loop.
+    if ((pfds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
     const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n == 0) break;
     if (n < 0) {
@@ -205,20 +256,45 @@ void SocketServer::handle_frame(Connection* conn, const Frame& frame) {
   }
 }
 
-bool SocketServer::send_frame(Connection* conn, MsgType type,
+void SocketServer::send_frame(Connection* conn, MsgType type,
                               std::string_view payload) {
-  std::string frame;
-  append_frame(frame, type, payload);
-  // Chaos hook: drop/truncate/corrupt the outbound frame (a lost or
-  // mangled ack is what forces clients into idempotent resubmission).
-  MUSK_FAULT_MUTATE("wire.server.send", frame);
+  const std::string frame = outbound_frame(type, payload);
   const util::OrderedLock lock(conn->write_mutex);
+  append_locked(conn, frame);
+  flush_locked(conn);
+}
+
+bool SocketServer::append_locked(Connection* conn, std::string_view frames) {
+  conn->write_mutex.assert_held();
   if (conn->done.load()) return false;
-  if (!send_all(conn->fd, frame.data(), frame.size())) {
+  if (conn->outbox.size() + frames.size() > kMaxOutboxBytes) {
+    // Waiting would stall whoever appends (the clearing thread, for a
+    // broadcast); buffering more would grow without bound.
     conn->done.store(true);
+    ::shutdown(conn->fd, SHUT_RDWR);
+    slow_consumer_dropped_.add(1);
     return false;
   }
-  return true;
+  const bool was_empty = conn->outbox.empty();
+  conn->outbox.append(frames);
+  return was_empty;
+}
+
+void SocketServer::flush_locked(Connection* conn) {
+  conn->write_mutex.assert_held();
+  std::size_t sent = 0;
+  while (!conn->done.load() && sent < conn->outbox.size()) {
+    const ssize_t n = ::send(conn->fd, conn->outbox.data() + sent,
+                             conn->outbox.size() - sent, MSG_NOSIGNAL);
+    if (n >= 0) {
+      sent += static_cast<std::size_t>(n);
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      break;  // the rest waits for POLLOUT
+    } else if (errno != EINTR) {
+      conn->done.store(true);
+    }
+  }
+  conn->outbox.erase(0, sent);
 }
 
 void SocketServer::broadcast_epoch(const EpochReport& report) {
@@ -226,19 +302,30 @@ void SocketServer::broadcast_epoch(const EpochReport& report) {
   span.set_epoch(report.trace_id);
   const std::string result_payload = encode_epoch_result(report);
   const util::OrderedLock lock(connections_mutex_);
-  for (const auto& conn : connections_) {
+  for (const auto& owned : connections_) {
+    Connection* conn = owned.get();
     if (conn->done.load()) continue;
-    send_frame(conn.get(), MsgType::kEpochResult, result_payload);
+    std::string frames = outbound_frame(MsgType::kEpochResult, result_payload);
+    // report.notices is sorted by player.
     const core::PlayerId player = conn->player.load();
-    if (player < 0) continue;
-    for (const PlayerNotice& notice : report.notices) {
-      if (notice.player == player) {
-        send_frame(conn.get(), MsgType::kPlayerNotice,
-                   encode_player_notice(
-                       static_cast<std::uint32_t>(report.epoch), notice));
-        break;
-      }
+    const auto notice = std::lower_bound(
+        report.notices.begin(), report.notices.end(), player,
+        [](const PlayerNotice& n, core::PlayerId p) { return n.player < p; });
+    if (player >= 0 && notice != report.notices.end() &&
+        notice->player == player) {
+      frames += outbound_frame(
+          MsgType::kPlayerNotice,
+          encode_player_notice(static_cast<std::uint32_t>(report.epoch),
+                               *notice));
     }
+    bool wake = false;
+    {
+      const util::OrderedLock write_lock(conn->write_mutex);
+      wake = append_locked(conn, frames);
+    }
+    // Only an empty outbox needs the signal: a non-empty one is already
+    // being flushed, or waits for POLLOUT.
+    if (wake) ::eventfd_write(conn->wake_fd, 1);
   }
 }
 

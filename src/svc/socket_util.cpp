@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -29,6 +30,14 @@ sockaddr_un unix_addr(const std::string& path) {
   }
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   return addr;
+}
+
+/// Turns Nagle's algorithm off on a tcp socket. Unix sockets have no
+/// Nagle, so they are left alone (the option does not exist there).
+bool set_nodelay(int fd, const Endpoint& endpoint) {
+  if (endpoint.is_unix) return true;
+  const int one = 1;
+  return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0;
 }
 
 sockaddr_in tcp_addr(std::uint16_t port) {
@@ -177,6 +186,20 @@ int connect_to(const Endpoint& endpoint) {
   if (rc < 0) {
     ::close(fd);
     fail("connect " + to_string(endpoint));
+  }
+  if (!set_nodelay(fd, endpoint)) {
+    ::close(fd);
+    fail("setsockopt TCP_NODELAY");
+  }
+  return fd;
+}
+
+int accept_from(int listen_fd, const Endpoint& endpoint) {
+  const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
+  if (fd < 0) return -1;
+  if (!set_nodelay(fd, endpoint)) {
+    ::close(fd);
+    return -1;
   }
   return fd;
 }

@@ -1,7 +1,10 @@
 // Minimal POSIX socket helpers shared by the service's server and
 // client: endpoint parsing ("tcp:PORT" on loopback, "unix:PATH"),
-// listening, and connecting. All functions throw std::runtime_error
-// with errno context on failure.
+// listening, accepting and connecting. Every tcp stream socket they hand
+// out has TCP_NODELAY set: the protocol's frames are a few dozen bytes,
+// and Nagle's algorithm would hold each one back until the peer acked
+// the previous segment. Functions throw std::runtime_error with errno
+// context on failure unless documented otherwise.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +31,13 @@ std::string to_string(const Endpoint& endpoint);
 /// listen_on throw instead of stealing the path from its owner.
 int listen_on(Endpoint& endpoint, int backlog);
 
-/// Blocking connect; returns the fd.
+/// Blocking connect; returns the fd (TCP_NODELAY on tcp).
 int connect_to(const Endpoint& endpoint);
+
+/// accept()s one pending connection on `listen_fd`, which listens on
+/// `endpoint`. Returns a non-blocking fd (TCP_NODELAY on tcp), or -1
+/// without throwing when nothing could be accepted.
+int accept_from(int listen_fd, const Endpoint& endpoint);
 
 /// send() the whole buffer (MSG_NOSIGNAL, EINTR-safe). Returns false on
 /// a connection error instead of throwing (peers vanish routinely).

@@ -1,12 +1,15 @@
 // End-to-end: in-process musketeerd, concurrent wire clients, exact
-// equivalence of the settled network with a single-threaded sim run, and
-// unix-socket path reclamation (stale sockets reclaimed, live ones and
-// regular files refused).
+// equivalence of the settled network with a single-threaded sim run,
+// whole frames under concurrent acks and broadcasts, a client that never
+// reads, and unix-socket path reclamation (stale sockets reclaimed, live
+// ones and regular files refused).
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -20,9 +23,11 @@
 
 #include "core/m3_double_auction.hpp"
 #include "core/mechanism_factory.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "svc/client.hpp"
 #include "svc/daemon.hpp"
+#include "svc/socket_util.hpp"
 #include "svc_test_util.hpp"
 
 namespace musketeer::svc {
@@ -173,16 +178,21 @@ TEST(ServerE2E, InvalidAndMalformedInputHandled) {
   daemon->stop();
 }
 
-TEST(ServerE2E, PeriodicDaemonBroadcastsAndNotifies) {
-  const sim::SimulationConfig config = small_config(15);
-
-  // Probe an identical network to find a player that trades in epoch 0.
+/// Epoch 0's report on an identical network, cleared by a bare service.
+EpochReport probe_epoch0(const sim::SimulationConfig& config) {
   pcn::Network probe_net = make_network(config);
   core::M3DoubleAuction mechanism;
   ServiceConfig probe_config;
   probe_config.policy = config.policy;
   RebalanceService probe(probe_net, mechanism, probe_config);
-  const EpochReport probe_report = probe.run_epoch();
+  return probe.run_epoch();
+}
+
+TEST(ServerE2E, PeriodicDaemonBroadcastsAndNotifies) {
+  const sim::SimulationConfig config = small_config(15);
+
+  // Probe an identical network to find a player that trades in epoch 0.
+  const EpochReport probe_report = probe_epoch0(config);
   ASSERT_FALSE(probe_report.notices.empty()) << "seed cleared no cycles";
   const core::PlayerId trader = probe_report.notices.front().player;
 
@@ -219,6 +229,152 @@ TEST(ServerE2E, PeriodicDaemonBroadcastsAndNotifies) {
     }
   }
   EXPECT_TRUE(notified);
+  daemon->stop();
+}
+
+// The epoch broadcast (clearing thread) and the acks (connection
+// thread) append to one connection's outbox concurrently. Every frame
+// must arrive whole and in order: a torn frame fails the client's
+// parser, and a result or notice out of order fails the checks below.
+TEST(ServerE2E, AcksAndBroadcastsArriveAsWholeFrames) {
+  const sim::SimulationConfig config = small_config(15);
+  const EpochReport probe_report = probe_epoch0(config);
+  ASSERT_FALSE(probe_report.notices.empty()) << "seed cleared no cycles";
+  const core::PlayerId trader = probe_report.notices.front().player;
+
+  DaemonConfig daemon_config;
+  daemon_config.service.epoch_period = std::chrono::milliseconds(1);
+  auto daemon = make_daemon(config, daemon_config);
+  daemon->start(/*periodic_epochs=*/false);
+  Client client(daemon->endpoint());
+  client.hello(trader);
+  client.stats();  // the hello is served before epoch 0 clears
+  daemon->service().start();
+
+  std::uint32_t next_epoch = 0;
+  int notices = 0;
+  int acks = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (next_epoch < 300 && std::chrono::steady_clock::now() < deadline) {
+    BidSubmission bid;
+    bid.player = trader;
+    ASSERT_TRUE(intake_ok(client.submit(bid).status));
+    ++acks;
+    for (const EpochResultMsg& result : client.take_epoch_results()) {
+      ASSERT_EQ(result.epoch, next_epoch);
+      next_epoch = result.epoch + 1;
+    }
+    // A notice is appended right behind its epoch's result.
+    for (const PlayerNoticeMsg& msg : client.take_notices()) {
+      EXPECT_EQ(msg.notice.player, trader);
+      EXPECT_LT(msg.epoch, next_epoch);
+      ++notices;
+    }
+  }
+  EXPECT_GE(next_epoch, 300u);
+  EXPECT_GE(notices, 1);
+  EXPECT_GT(acks, 0);
+  daemon->stop();
+}
+
+/// Reads `fd` until EOF (true) or an error or the deadline (false).
+bool reads_to_eof(int fd, std::chrono::seconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  char buf[65536];
+  while (std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n == 0) return true;
+    if (n < 0 && errno != EINTR) return false;
+  }
+  return false;
+}
+
+// A client that connects and never reads must not stop clearing. Its
+// socket buffers fill after ~38k epochs of results, then its outbox;
+// past the bound the server drops it and counts the drop, while a
+// client that reads gets every epoch. A watchdog fails the test within
+// seconds if clearing stalls instead.
+TEST(ServerE2E, NeverReadingClientCannotStallClearing) {
+  constexpr int kEpochs = 150000;
+  sim::SimulationConfig config = small_config(21);
+  config.num_nodes = 8;
+  auto daemon = make_daemon(config);
+  daemon->start(/*periodic_epochs=*/false);
+  obs::Counter& dropped =
+      obs::registry().counter("svc.server.slow_consumer_dropped_total");
+  const std::uint64_t dropped_before = dropped.value();
+
+  std::atomic<int> silent_fd{connect_to(parse_endpoint(daemon->endpoint()))};
+  Client client(daemon->endpoint());
+  client.stats();  // both connections are served before epoch 0
+
+  std::atomic<std::uint32_t> received{0};
+  std::atomic<bool> in_order{true};
+  std::jthread reader([&](const std::stop_token& stop) {
+    std::uint32_t next = 0;
+    while (!stop.stop_requested() && !client.closed()) {
+      client.wait_epoch_at_least(next, std::chrono::milliseconds(100));
+      for (const EpochResultMsg& result : client.take_epoch_results()) {
+        if (result.epoch != next) in_order.store(false);
+        next = result.epoch + 1;
+      }
+      received.store(next);
+    }
+  });
+
+  // Closing the silent socket with unread data resets the connection,
+  // which unblocks a server stuck sending to it.
+  std::atomic<int> cleared{0};
+  std::atomic<bool> stalled{false};
+  std::jthread watchdog([&](const std::stop_token& stop) {
+    int seen = -1;
+    auto progress_at = std::chrono::steady_clock::now();
+    while (!stop.stop_requested()) {
+      ::poll(nullptr, 0, 50);
+      const auto now = std::chrono::steady_clock::now();
+      if (cleared.load() != seen) {
+        seen = cleared.load();
+        progress_at = now;
+      } else if (now - progress_at > std::chrono::seconds(3)) {
+        stalled.store(true);
+        const int fd = silent_fd.exchange(-1);
+        if (fd >= 0) ::close(fd);
+        return;
+      }
+    }
+  });
+
+  for (int epoch = 0; epoch < kEpochs && !stalled.load(); ++epoch) {
+    daemon->service().run_epoch();
+    cleared.store(epoch + 1);
+  }
+  watchdog.request_stop();
+  watchdog.join();
+  ASSERT_FALSE(stalled.load())
+      << "clearing stalled after " << cleared.load() << " epochs";
+  EXPECT_EQ(dropped.value() - dropped_before, 1u);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (received.load() < static_cast<std::uint32_t>(kEpochs) &&
+         std::chrono::steady_clock::now() < deadline) {
+    ::poll(nullptr, 0, 10);
+  }
+  reader.request_stop();
+  reader.join();
+  EXPECT_EQ(received.load(), static_cast<std::uint32_t>(kEpochs));
+  EXPECT_TRUE(in_order.load());
+
+  // The dropped client still gets what the kernel held for it, then EOF.
+  const int fd = silent_fd.exchange(-1);
+  ASSERT_GE(fd, 0);
+  EXPECT_TRUE(reads_to_eof(fd, std::chrono::seconds(30)));
+  ::close(fd);
   daemon->stop();
 }
 

@@ -56,6 +56,10 @@ TEST(StatsE2E, LiveSnapshotOverTheWire) {
   // The snapshot carries the full metrics registry as JSON.
   EXPECT_NE(before.registry_json.find("\"counters\""), std::string::npos);
   EXPECT_NE(before.registry_json.find("\"histograms\""), std::string::npos);
+  // The server registers its slow-consumer counter before any drop.
+  EXPECT_NE(
+      before.registry_json.find("\"svc.server.slow_consumer_dropped_total\""),
+      std::string::npos);
 
   // A submission shows up in queue depth and intake counters.
   BidSubmission bid;
