@@ -1,5 +1,7 @@
 #include "pcn/network.hpp"
 
+#include <array>
+#include <bit>
 #include <cmath>
 
 namespace musketeer::pcn {
@@ -64,16 +66,39 @@ double Network::depleted_direction_fraction(double threshold) const {
          (2.0 * static_cast<double>(channels_.size()));
 }
 
+namespace {
+
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+/// kFnvPrimePowers[k] = kFnvPrime^k mod 2^64: k FNV-1a steps over zero
+/// bytes, since (h ^ 0) * prime is a bare multiply.
+constexpr std::array<std::uint64_t, 9> kFnvPrimePowers = [] {
+  std::array<std::uint64_t, 9> powers{};
+  powers[0] = 1;
+  for (std::size_t k = 1; k < powers.size(); ++k) {
+    powers[k] = powers[k - 1] * kFnvPrime;
+  }
+  return powers;
+}();
+
+}  // namespace
+
 std::uint64_t Network::state_digest() const {
   // FNV-1a over the little-endian bytes of every state field, in channel
   // order. Fee rates are static configuration, not evolving state, so
-  // they stay out of the digest.
+  // they stay out of the digest. The values are a persisted format
+  // (journal, snapshots, wire); mix() folds a field's zero high bytes
+  // into one multiply by a power of the prime, which yields exactly the
+  // byte-by-byte hash. NetworkTest.StateDigestGoldenValues
+  // (tests/pcn/network_test.cpp) pins the values.
   std::uint64_t h = 14695981039346656037ull;
   const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
+    const int bytes = (64 - std::countl_zero(v) + 7) / 8;
+    for (int i = 0; i < bytes; ++i) {
       h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
+      h *= kFnvPrime;
     }
+    h *= kFnvPrimePowers[static_cast<std::size_t>(8 - bytes)];
   };
   mix(static_cast<std::uint64_t>(num_nodes_));
   mix(static_cast<std::uint64_t>(channels_.size()));

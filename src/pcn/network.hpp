@@ -48,6 +48,13 @@ class Network {
   /// the same operations have the same digest, so a service client can
   /// check settled-state equivalence against a local replay from one u64
   /// instead of a channel-by-channel dump.
+  ///
+  /// The values are a persisted format: journal records, snapshots and
+  /// every wire kEpochResult carry them, so they never change. The kernel
+  /// folds each field's zero high bytes into one multiply and equals the
+  /// byte-by-byte FNV-1a exactly; NetworkTest.StateDigestGoldenValues
+  /// pins the values and NetworkTest.StateDigestMatchesByteByByteFnv1a
+  /// checks the kernel against the byte loop.
   std::uint64_t state_digest() const;
 
  private:

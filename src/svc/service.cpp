@@ -3,10 +3,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <map>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/mechanism_factory.hpp"
 #include "obs/obs.hpp"
@@ -26,43 +25,61 @@ constexpr double kAdmissionAlpha = 0.2;
 
 /// Overwrites the truthful bids with the drained submissions: a player's
 /// tail override applies to every edge it is tail of, head override to
-/// every edge it is head of. Values were validated at intake.
+/// every edge it is head of. Values were validated at intake, players
+/// against the network's node count, which is the game's player count;
+/// the drain holds one submission per player.
 void apply_overrides(const core::Game& game,
                      const std::vector<BidSubmission>& subs,
                      core::BidVector& bids) {
   if (subs.empty()) return;
-  std::unordered_map<core::PlayerId, const BidSubmission*> by_player;
-  by_player.reserve(subs.size());
-  for (const BidSubmission& s : subs) by_player.emplace(s.player, &s);
+  std::vector<const BidSubmission*> by_player(
+      static_cast<std::size_t>(game.num_players()), nullptr);
+  for (const BidSubmission& s : subs) {
+    MUSK_ASSERT(s.player >= 0 && s.player < game.num_players());
+    by_player[static_cast<std::size_t>(s.player)] = &s;
+  }
   for (core::EdgeId e = 0; e < game.num_edges(); ++e) {
     const core::GameEdge& edge = game.edge(e);
-    if (const auto it = by_player.find(edge.from);
-        it != by_player.end() && it->second->has_tail) {
-      bids.tail[static_cast<std::size_t>(e)] = it->second->tail_bid;
+    if (const BidSubmission* s = by_player[static_cast<std::size_t>(edge.from)];
+        s != nullptr && s->has_tail) {
+      bids.tail[static_cast<std::size_t>(e)] = s->tail_bid;
     }
-    if (const auto it = by_player.find(edge.to);
-        it != by_player.end() && it->second->has_head) {
-      bids.head[static_cast<std::size_t>(e)] = it->second->head_bid;
+    if (const BidSubmission* s = by_player[static_cast<std::size_t>(edge.to)];
+        s != nullptr && s->has_head) {
+      bids.head[static_cast<std::size_t>(e)] = s->head_bid;
     }
   }
 }
 
+/// One notice per participant, sorted by player. A cycle's participants
+/// are the tails of its edges; each player's sums accumulate in cycle
+/// order, so they are bit-identical to a fold keyed by player.
 std::vector<PlayerNotice> build_notices(const core::Game& game,
                                         const core::Outcome& outcome) {
-  std::map<core::PlayerId, PlayerNotice> by_player;  // sorted output
+  std::vector<PlayerNotice> notices;
+  if (outcome.cycles.empty()) return notices;
+  // Index of each player's notice in `notices`, -1 before its first cycle.
+  std::vector<std::int32_t> slot(static_cast<std::size_t>(game.num_players()),
+                                 -1);
   for (const core::PricedCycle& pc : outcome.cycles) {
-    for (const core::PlayerId v : game.cycle_players(pc.cycle)) {
-      PlayerNotice& notice = by_player[v];
-      notice.player = v;
+    for (const core::EdgeId e : pc.cycle.edges) {
+      const core::PlayerId v = game.edge(e).from;
+      std::int32_t& index = slot[static_cast<std::size_t>(v)];
+      if (index < 0) {
+        index = static_cast<std::int32_t>(notices.size());
+        notices.emplace_back().player = v;
+      }
+      PlayerNotice& notice = notices[static_cast<std::size_t>(index)];
       notice.price += pc.price_of(v);
       notice.cycles += 1;
       notice.volume += pc.cycle.amount;
       notice.delay_bonus += pc.delay_bonus_of(v);
     }
   }
-  std::vector<PlayerNotice> notices;
-  notices.reserve(by_player.size());
-  for (auto& [player, notice] : by_player) notices.push_back(notice);
+  std::sort(notices.begin(), notices.end(),
+            [](const PlayerNotice& a, const PlayerNotice& b) {
+              return a.player < b.player;
+            });
   return notices;
 }
 
@@ -194,10 +211,10 @@ EpochReport RebalanceService::run_epoch() {
     throw;
   }
 
+  core::Outcome outcome;
   if (extracted.game.num_edges() > 0) {
     core::BidVector bids = extracted.game.truthful_bids();
     apply_overrides(extracted.game, subs, bids);
-    core::Outcome outcome;
     const long long builds_before = solve_context_.stats().structure_builds;
     try {
       bool cleared = run_attempt(mechanism_, extracted.game, bids, trace_id,
@@ -276,10 +293,13 @@ EpochReport RebalanceService::run_epoch() {
                            std::memory_order_relaxed);
     last_largest_component_.store(report.largest_component,
                                   std::memory_order_relaxed);
-    report.notices = build_notices(extracted.game, outcome);
   }
 
   {
+    // Publish: the notices, the settled digest and the imbalance gauges.
+    MUSK_OBS_SPAN(publish_span, "svc.publish");
+    publish_span.set_epoch(trace_id);
+    report.notices = build_notices(extracted.game, outcome);
     const util::OrderedLock net_lock(network_mutex_);
     report.network_digest = network_.state_digest();
     // Pickhardt-style imbalance telemetry over the settled balances,

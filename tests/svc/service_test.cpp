@@ -1,9 +1,12 @@
 // RebalanceService: snapshot/clear/settle equivalence with the historic
 // inline path, bid-override application, notices, the scheduler, and
 // clean abort (locks released, journal closed) when a mechanism throws.
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +15,8 @@
 
 #include "core/m3_double_auction.hpp"
 #include "core/m4_delayed.hpp"
+#include "core/m5_variable_delay.hpp"
+#include "flow/solve_context.hpp"
 #include "pcn/rebalancer.hpp"
 #include "sim/engine.hpp"
 #include "svc/journal.hpp"
@@ -138,6 +143,117 @@ TEST(Service, NoticesAreConsistentWithReports) {
     max_cycles = std::max(max_cycles, notice.cycles);
   }
   EXPECT_LE(max_cycles, report.cycles_executed);
+}
+
+/// What one clear of `network` must publish, computed the plain way: a
+/// copy of the network through extract_and_lock, the overrides applied
+/// by a loop over every edge, the mechanism on a fresh context, settle,
+/// and a std::map fold over each cycle's tails.
+struct ReferenceClear {
+  std::vector<PlayerNotice> notices;
+  std::uint64_t digest = 0;
+};
+
+ReferenceClear reference_clear(pcn::Network network,
+                               const pcn::RebalancePolicy& policy,
+                               const core::Mechanism& mechanism,
+                               const std::vector<BidSubmission>& subs) {
+  const pcn::ExtractedGame extracted = pcn::extract_and_lock(network, policy);
+  const core::Game& game = extracted.game;
+  core::BidVector bids = game.truthful_bids();
+  for (const BidSubmission& s : subs) {
+    for (core::EdgeId e = 0; e < game.num_edges(); ++e) {
+      const auto i = static_cast<std::size_t>(e);
+      if (s.has_tail && game.edge(e).from == s.player) bids.tail[i] = s.tail_bid;
+      if (s.has_head && game.edge(e).to == s.player) bids.head[i] = s.head_bid;
+    }
+  }
+  flow::SolveContext ctx;
+  const core::Outcome outcome = mechanism.run(ctx, game, bids);
+  pcn::apply_outcome(network, extracted, outcome);
+
+  std::map<core::PlayerId, PlayerNotice> by_player;
+  for (const core::PricedCycle& pc : outcome.cycles) {
+    for (const core::PlayerId v : game.cycle_players(pc.cycle)) {
+      PlayerNotice& notice = by_player[v];
+      notice.player = v;
+      notice.price += pc.price_of(v);
+      notice.cycles += 1;
+      notice.volume += pc.cycle.amount;
+      notice.delay_bonus += pc.delay_bonus_of(v);
+    }
+  }
+  ReferenceClear ref;
+  for (const auto& [player, notice] : by_player) ref.notices.push_back(notice);
+  ref.digest = network.state_digest();
+  return ref;
+}
+
+// The service indexes overrides and notices by dense per-player arrays;
+// its first epoch must publish exactly what the plain reference does,
+// bit for bit, on mechanisms with uniform (M4) and per-player (M5)
+// delay bonuses.
+TEST(Service, NoticesAndOverridesMatchMapReference) {
+  // Seed 9's first epoch clears 10 cycles, and players 0 and n-1 both
+  // trade in them.
+  const sim::SimulationConfig config = small_config(9);
+  const pcn::Network genesis = make_network(config);
+  const core::PlayerId last = genesis.num_nodes() - 1;
+  std::vector<double> delay_factors;
+  for (core::PlayerId v = 0; v <= last; ++v) {
+    delay_factors.push_back(0.5 + 0.25 * static_cast<double>(v % 5));
+  }
+  const core::M3DoubleAuction m3;
+  const core::M4DelayedAuction m4(2.0);
+  const core::M5VariableDelay m5(delay_factors);
+
+  std::vector<BidSubmission> subs(3);
+  subs[0].player = 0;
+  subs[0].has_tail = true;
+  subs[0].tail_bid = -0.0004;
+  subs[0].has_head = true;
+  subs[0].head_bid = 0.03;
+  subs[1].player = 7;  // a participation refresh: no override
+  subs[2].player = last;
+  subs[2].has_tail = true;
+  subs[2].tail_bid = 0.0;
+  subs[2].has_head = true;
+  subs[2].head_bid = 0.05;
+
+  for (const core::Mechanism* mechanism :
+       std::vector<const core::Mechanism*>{&m3, &m4, &m5}) {
+    SCOPED_TRACE(std::string(mechanism->name()));
+    pcn::Network network = genesis;
+    ServiceConfig service_config;
+    service_config.policy = config.policy;
+    RebalanceService service(network, *mechanism, service_config);
+    for (const BidSubmission& s : subs) {
+      ASSERT_EQ(service.submit(s), IntakeStatus::kAccepted);
+    }
+    const EpochReport report = service.run_epoch();
+    ASSERT_GT(report.cycles_executed, 0) << "seed cleared no cycles";
+    EXPECT_EQ(report.bids_applied, subs.size());
+
+    const ReferenceClear want =
+        reference_clear(genesis, config.policy, *mechanism, subs);
+    ASSERT_EQ(want.notices.front().player, 0);
+    ASSERT_EQ(want.notices.back().player, last);
+    EXPECT_EQ(report.network_digest, want.digest);
+    ASSERT_EQ(report.notices.size(), want.notices.size());
+    for (std::size_t i = 0; i < want.notices.size(); ++i) {
+      const PlayerNotice& got = report.notices[i];
+      const PlayerNotice& ref = want.notices[i];
+      EXPECT_EQ(got.player, ref.player) << "notice " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.price),
+                std::bit_cast<std::uint64_t>(ref.price))
+          << "player " << ref.player;
+      EXPECT_EQ(got.cycles, ref.cycles) << "player " << ref.player;
+      EXPECT_EQ(got.volume, ref.volume) << "player " << ref.player;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.delay_bonus),
+                std::bit_cast<std::uint64_t>(ref.delay_bonus))
+          << "player " << ref.player;
+    }
+  }
 }
 
 TEST(Service, SchedulerClearsEpochsAndStops) {
