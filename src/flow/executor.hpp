@@ -5,9 +5,9 @@
 // (musk_lint's raw-thread rule enforces that). M2's VCG exclusion
 // solves are the one batch with more than one task: SolveContext::solve
 // is always a one-task batch. The production implementation is
-// svc::ParallelExecutor — a fixed, rank-locked worker pool — but the
-// seam lives here so flow/core/sim can run tasks without depending on
-// the service layer.
+// svc::ParallelExecutor, which forks threads for a batch and joins them
+// before run() returns, but the seam lives here so flow/core/sim can run
+// tasks without depending on the service layer.
 //
 // Semantics of run(count, fn):
 //   * fn(i) is invoked exactly once for every i in [0, count), on the

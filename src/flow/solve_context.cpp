@@ -28,19 +28,14 @@ void SolveContext::count_components() {
     const NodeId b = root(graph_.edge(e).to);
     if (a != b) parent[static_cast<std::size_t>(b)] = a;
   }
-  // Edges per root; isolated nodes are roots with none and count as no
-  // component.
-  std::vector<EdgeId> edges(n, 0);
+  // Roots that own an edge; isolated nodes are roots with none and
+  // count as no component.
+  std::vector<bool> has_edge(n, false);
   for (EdgeId e = 0; e < graph_.num_edges(); ++e) {
-    ++edges[static_cast<std::size_t>(root(graph_.edge(e).from))];
+    has_edge[static_cast<std::size_t>(root(graph_.edge(e).from))] = true;
   }
-  components_ = 0;
-  largest_component_ = 0;
-  for (const EdgeId count : edges) {
-    if (count == 0) continue;
-    ++components_;
-    largest_component_ = std::max(largest_component_, count);
-  }
+  components_ = static_cast<int>(
+      std::count(has_edge.begin(), has_edge.end(), true));
 }
 
 Circulation SolveContext::solve(SolveStats* stats) {

@@ -140,15 +140,15 @@ class SolveContext {
   std::vector<CycleFlow> decompose(const Circulation& f);
 
   /// Weakly-connected components of the bound graph (0 before any bind,
-  /// on an empty graph, or when every node is isolated) and the largest
-  /// component's edge count. Capacity-0 edges connect too. Counted once
-  /// per structure build; a rebind keeps the structure, so the counts
-  /// stand.
+  /// on an empty graph, or when every node is isolated). Capacity-0
+  /// edges connect too. Counted once per structure build; a rebind keeps
+  /// the structure, so the count stands. Nothing in the service reads
+  /// it: it stays only for perfbench's replica, which reports it as
+  /// flow.components, until a benchmark change drops that metric.
   int last_component_count() const { return components_; }
-  EdgeId last_largest_component() const { return largest_component_; }
 
  private:
-  /// Union–find over the bound graph's edges; sets the counts above.
+  /// Union–find over the bound graph's edges; sets the count above.
   void count_components();
 
   Graph graph_{0};
@@ -161,7 +161,6 @@ class SolveContext {
   SerialExecutor serial_;         ///< used when no executor is attached
 
   int components_ = 0;
-  EdgeId largest_component_ = 0;
 };
 
 /// The calling thread's shared context. Backs the legacy (context-free)

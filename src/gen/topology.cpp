@@ -1,7 +1,6 @@
 #include "gen/topology.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/assert.hpp"
 
@@ -106,64 +105,6 @@ Topology grid(NodeId rows, NodeId cols) {
     }
   }
   return channels;
-}
-
-Topology hub_and_spoke(NodeId n, NodeId hubs, double dual_home,
-                       util::Rng& rng) {
-  MUSK_ASSERT(hubs >= 1 && hubs < n);
-  Topology channels;
-  for (NodeId u = 0; u < hubs; ++u) {
-    for (NodeId v = u + 1; v < hubs; ++v) channels.emplace_back(u, v);
-  }
-  for (NodeId leaf = hubs; leaf < n; ++leaf) {
-    const NodeId home =
-        static_cast<NodeId>(rng.uniform(static_cast<std::uint64_t>(hubs)));
-    channels.push_back(ordered(home, leaf));
-    if (hubs > 1 && rng.bernoulli(dual_home)) {
-      NodeId second = home;
-      while (second == home) {
-        second =
-            static_cast<NodeId>(rng.uniform(static_cast<std::uint64_t>(hubs)));
-      }
-      channels.push_back(ordered(second, leaf));
-    }
-  }
-  return channels;
-}
-
-Topology powerlaw_configuration(NodeId n, double exponent, int min_degree,
-                                int max_degree, util::Rng& rng) {
-  MUSK_ASSERT(n >= 2);
-  MUSK_ASSERT(exponent > 1.0);
-  MUSK_ASSERT(min_degree >= 1 && min_degree <= max_degree);
-  MUSK_ASSERT(max_degree < n);
-
-  // Sample degrees by inverse-CDF of a truncated Pareto: for u ~ U(0,1),
-  // d = min_degree * (1 - u)^(-1/(exponent-1)), clipped.
-  std::vector<int> degree(static_cast<std::size_t>(n));
-  std::vector<NodeId> stubs;
-  for (NodeId v = 0; v < n; ++v) {
-    const double u = rng.uniform01();
-    const double raw =
-        static_cast<double>(min_degree) *
-        std::pow(1.0 - u, -1.0 / (exponent - 1.0));
-    const int d = static_cast<int>(
-        std::min<double>(raw, static_cast<double>(max_degree)));
-    degree[static_cast<std::size_t>(v)] = d;
-    for (int i = 0; i < d; ++i) stubs.push_back(v);
-  }
-  if (stubs.size() % 2 == 1) stubs.push_back(0);  // even the stub count
-
-  // Uniform stub matching (Fisher–Yates, pair consecutive).
-  for (std::size_t i = stubs.size(); i > 1; --i) {
-    std::swap(stubs[i - 1], stubs[rng.uniform(i)]);
-  }
-  Topology channels;
-  for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
-    if (stubs[i] == stubs[i + 1]) continue;  // drop self-loops
-    channels.push_back(ordered(stubs[i], stubs[i + 1]));
-  }
-  return dedupe(std::move(channels));
 }
 
 Topology dedupe(Topology topology) {

@@ -3,8 +3,8 @@
 // Lightning-like networks are scale-free with a small dense core
 // (Barabási–Albert); the other families stress different regimes:
 // Erdős–Rényi (homogeneous sparse), Watts–Strogatz (high clustering, the
-// regime where short rebalancing cycles abound), rings/grids (worst-case
-// sparse cycles), and hub-and-spoke (routing through a few big routers).
+// regime where short rebalancing cycles abound) and rings/grids
+// (worst-case sparse cycles).
 // All generators return undirected channel endpoint pairs; the game
 // generator decides directions, capacities and stakes.
 #pragma once
@@ -40,19 +40,6 @@ Topology ring(NodeId n);
 
 /// rows x cols grid, channels between lattice neighbours.
 Topology grid(NodeId rows, NodeId cols);
-
-/// `hubs` fully-interconnected routers; every other node connects to one
-/// hub chosen uniformly (plus a second with probability `dual_home`).
-Topology hub_and_spoke(NodeId n, NodeId hubs, double dual_home,
-                       util::Rng& rng);
-
-/// Configuration model with a truncated power-law degree sequence:
-/// degree of each node ~ Pareto(exponent) clipped to [min_degree,
-/// max_degree], stubs matched uniformly, self-loops and multi-edges
-/// dropped. More faithful to measured Lightning degree distributions
-/// than preferential attachment (which fixes the exponent at 3).
-Topology powerlaw_configuration(NodeId n, double exponent, int min_degree,
-                                int max_degree, util::Rng& rng);
 
 /// Deduplicates parallel channels and drops self-loops (generator
 /// postprocessing; idempotent).

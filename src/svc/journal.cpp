@@ -365,11 +365,6 @@ std::size_t Journal::compact_below(std::uint64_t seq_bound) {
     ++removed;
   }
   if (removed > 0) {
-    // The live segments' records start at the new front segment's.
-    const std::size_t dropped = segments_.front().first_record;
-    records_.erase(records_.begin(),
-                   records_.begin() + static_cast<std::ptrdiff_t>(dropped));
-    for (LiveSegment& seg : segments_) seg.first_record -= dropped;
     segment_count_.store(segments_.size(), std::memory_order_relaxed);
     // No directory fsync for the unlinks: if a crash resurrects a
     // compacted segment, the chain just regrows a contiguous prefix
@@ -482,12 +477,6 @@ void Journal::append(RecordType type, int epoch, std::uint64_t digest,
   committed_bytes_.fetch_add(full, std::memory_order_relaxed);
   MUSK_OBS_COUNT("svc.journal.append_total", 1);
   MUSK_OBS_HISTOGRAM("svc.journal.append_seconds", span.end());
-  JournalRecord record;
-  record.type = type;
-  record.epoch = epoch;
-  record.digest = digest;
-  record.payload = payload;
-  records_.push_back(std::move(record));
 }
 
 RecoveryReport replay_records(Journal& journal, pcn::Network& network,

@@ -59,9 +59,10 @@
 // external payment feed).
 //
 // Appends are serialized internally (rank kJournal, below the service's
-// epoch lock that normally drives them); the read accessors assume a
-// quiescent journal — recovery runs before the service exists, and
-// tests inspect records between epochs.
+// epoch lock that normally drives them). records() holds only what
+// open() recovered, for recovery, which runs before the service exists;
+// appends write to disk alone, so a long-running daemon keeps no copy of
+// its history in memory. scan_journal() reads everything on disk.
 #pragma once
 
 #include <atomic>
@@ -199,11 +200,9 @@ class Journal {
 
   const std::string& path() const { return path_; }
 
-  /// The committed records of the live segments, in stream order: what
-  /// open() recovered plus every append since. compact_below() drops
-  /// the records of the segments it unlinks, so a checkpointing
-  /// daemon's memory stays bounded by its journal tail; indices (and
-  /// records_from_segment) are valid until the next compaction.
+  /// The records open() recovered, in stream order. Neither appends nor
+  /// compaction change it: what this process appended is on disk only
+  /// (scan_journal() reads it back).
   const std::vector<JournalRecord>& records() const { return records_; }
 
   /// Bytes of committed (written + fsync'd) journal across all *live*
@@ -225,9 +224,10 @@ class Journal {
   std::uint64_t current_segment() const MUSK_EXCLUDES(mutex_);
   std::uint64_t oldest_segment() const MUSK_EXCLUDES(mutex_);
 
-  /// Index into records() of the first record stored in a live segment
-  /// with seq >= `seq` (records().size() when no such record): the
-  /// recovery tail for a snapshot whose first_segment is `seq`.
+  /// Index into records() of the first recovered record stored in a
+  /// live segment with seq >= `seq` (records().size() when no such
+  /// record): the recovery tail for a snapshot whose first_segment is
+  /// `seq`.
   std::size_t records_from_segment(std::uint64_t seq) const
       MUSK_EXCLUDES(mutex_);
 
@@ -236,9 +236,8 @@ class Journal {
   void roll_segment() MUSK_EXCLUDES(mutex_);
 
   /// Unlinks every live segment with seq < `seq_bound` (never the
-  /// active one) and drops its records from records(); returns how many
-  /// segments were removed. The caller guarantees a durable snapshot
-  /// covers the removed history
+  /// active one); returns how many segments were removed. The caller
+  /// guarantees a durable snapshot covers the removed history
   /// (svc::SnapshotStore::oldest_retained_first_segment).
   std::size_t compact_below(std::uint64_t seq_bound) MUSK_EXCLUDES(mutex_);
 
@@ -265,15 +264,17 @@ class Journal {
   struct LiveSegment {
     std::uint64_t seq = 0;
     std::uint64_t bytes = 0;        ///< committed bytes incl. header
-    std::size_t first_record = 0;   ///< index into records_
+    /// Index into records_ of the segment's first recovered record
+    /// (records_.size() for a segment rolled after open()).
+    std::size_t first_record = 0;
   };
 
-  /// Encodes, writes, and fsyncs one record; only then is it added to
-  /// records_ and counted in committed_bytes_. On fsync failure the
-  /// file is truncated back to the committed prefix (a written but
-  /// unsynced record must not resurface on replay) and JournalError is
-  /// thrown; if even the truncate fails the journal is poisoned and
-  /// every later append throws.
+  /// Encodes, writes, and fsyncs one record; only then is it counted in
+  /// committed_bytes_. On fsync failure the file is truncated back to
+  /// the committed prefix (a written but unsynced record must not
+  /// resurface on replay) and JournalError is thrown; if even the
+  /// truncate fails the journal is poisoned and every later append
+  /// throws.
   void append(RecordType type, int epoch, std::uint64_t digest,
               const std::string& payload) MUSK_EXCLUDES(mutex_);
 
@@ -281,13 +282,14 @@ class Journal {
 
   /// Serializes appends and segment transitions (the file offset,
   /// poison state, and segment chain are one atomically-advanced
-  /// unit). records_/committed_bytes_ are written under it too but
-  /// read through the quiescent-only accessors above.
+  /// unit). committed_bytes_ is written under it too but read lock-free
+  /// above.
   mutable util::OrderedMutex mutex_{util::LockRank::kJournal, "journal"};
   int fd_ MUSK_GUARDED_BY(mutex_) = -1;
   bool poisoned_ MUSK_GUARDED_BY(mutex_) = false;
   std::vector<LiveSegment> segments_ MUSK_GUARDED_BY(mutex_);
 
+  /// Set by open() and never changed afterwards.
   std::vector<JournalRecord> records_;
   std::atomic<std::uint64_t> committed_bytes_{0};
   std::atomic<std::uint64_t> segment_count_{0};

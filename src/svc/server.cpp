@@ -1,5 +1,6 @@
 #include "svc/server.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -7,7 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <iterator>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -18,8 +19,8 @@ namespace musketeer::svc {
 
 namespace {
 
-/// Poll granularity for stop-token checks; every blocking socket wait
-/// re-checks its stop condition at least this often.
+/// Poll granularity for stop-token checks: the loop re-checks its stop
+/// condition at least this often, even if a wake-up is lost.
 constexpr int kPollMillis = 100;
 
 /// Room for two maximal frames. A consumer further behind than that is
@@ -39,16 +40,6 @@ std::string outbound_frame(MsgType type, std::string_view payload) {
 
 }  // namespace
 
-SocketServer::Connection::~Connection() {
-  // The thread polls both fds until it exits.
-  if (thread.joinable()) {
-    thread.request_stop();
-    thread.join();
-  }
-  if (fd >= 0) ::close(fd);
-  if (wake_fd >= 0) ::close(wake_fd);
-}
-
 SocketServer::SocketServer(RebalanceService& service, ServerConfig config)
     : service_(service),
       config_(std::move(config)),
@@ -56,73 +47,117 @@ SocketServer::SocketServer(RebalanceService& service, ServerConfig config)
       slow_consumer_dropped_(
           obs::registry().counter("svc.server.slow_consumer_dropped_total")) {}
 
-SocketServer::~SocketServer() { stop(); }
+SocketServer::~SocketServer() {
+  stop();
+  if (wake_fd_ >= 0) ::close(wake_fd_);
+}
 
 void SocketServer::start() {
   MUSK_ASSERT_MSG(!started_, "SocketServer started twice");
   started_ = true;
   endpoint_ = parse_endpoint(config_.listen);
   listen_fd_ = listen_on(endpoint_, /*backlog=*/64);
+  // Non-blocking, so the loop accepts until the backlog is empty and a
+  // connection reset between poll and accept cannot block it.
+  const int flags = ::fcntl(listen_fd_, F_GETFL);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (flags < 0 || ::fcntl(listen_fd_, F_SETFL, flags | O_NONBLOCK) < 0 ||
+      wake_fd_ < 0) {
+    throw std::runtime_error("socket server: cannot set up the I/O loop");
+  }
   service_.on_epoch(
       [this](const EpochReport& report) { broadcast_epoch(report); });
-  accept_thread_ = std::jthread(
-      [this](const std::stop_token& stop) { accept_loop(stop); });
+  thread_ = std::jthread([this](const std::stop_token& stop) { loop(stop); });
 }
 
 void SocketServer::stop() {
   if (stopping_.exchange(true)) return;
-  if (accept_thread_.joinable()) {
-    accept_thread_.request_stop();
-    accept_thread_.join();
+  if (thread_.joinable()) {
+    thread_.request_stop();
+    ::eventfd_write(wake_fd_, 1);
+    thread_.join();
   }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
+    // Best-effort cleanup of the listening socket node this server
+    // bound: nothing durable lives at this path and a leftover node is
+    // reclaimed by the next bind's connect-probe. A server whose bind
+    // failed never owned the path, so it leaves it alone.
+    if (endpoint_.is_unix)
+      ::unlink(endpoint_.path.c_str());  // musk-lint: allow(unchecked-rename)
   }
-  std::vector<std::unique_ptr<Connection>> connections;
-  {
-    const util::OrderedLock lock(connections_mutex_);
-    connections.swap(connections_);
-  }
-  for (const auto& conn : connections) {
-    send_frame(conn.get(), MsgType::kShutdown, {});
-    conn->thread.request_stop();
+  const util::OrderedLock lock(mutex_);
+  for (const auto& conn : connections_) {
+    append_locked(*conn, outbound_frame(MsgType::kShutdown, {}));
+    flush_locked(*conn);
     ::shutdown(conn->fd, SHUT_RDWR);
+    ::close(conn->fd);
   }
-  connections.clear();
-  // Best-effort cleanup of the listening socket node: nothing durable
-  // lives at this path and a leftover node is reclaimed by the next
-  // bind's connect-probe.
-  if (started_ && endpoint_.is_unix)
-    ::unlink(endpoint_.path.c_str());  // musk-lint: allow(unchecked-rename)
+  connections_.clear();
 }
 
 std::string SocketServer::endpoint() const { return to_string(endpoint_); }
 
-void SocketServer::accept_loop(const std::stop_token& stop) {
+void SocketServer::loop(const std::stop_token& stop) {
+  // pfds[0] is the eventfd, pfds[1] the listening socket, and pfds[k + 2]
+  // belongs to polled[k].
+  std::vector<pollfd> pfds;
+  std::vector<Connection*> polled;
   while (!stop.stop_requested()) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    const int rc = ::poll(&pfd, 1, kPollMillis);
-    if (rc < 0) {
+    pfds.assign(2, pollfd{});
+    pfds[0].fd = wake_fd_;
+    pfds[0].events = POLLIN;
+    pfds[1].fd = listen_fd_;
+    pfds[1].events = POLLIN;
+    polled.clear();
+    {
+      const util::OrderedLock lock(mutex_);
+      std::erase_if(connections_, [](const std::unique_ptr<Connection>& c) {
+        if (!c->done) return false;
+        ::close(c->fd);
+        return true;
+      });
+      for (const auto& conn : connections_) {
+        flush_locked(*conn);
+        if (conn->done) continue;
+        pollfd pfd{};
+        pfd.fd = conn->fd;
+        pfd.events =
+            static_cast<short>(POLLIN | (conn->outbox.empty() ? 0 : POLLOUT));
+        pfds.push_back(pfd);
+        polled.push_back(conn.get());
+      }
+    }
+    // Only this thread removes connections, so `polled` stays valid
+    // while the lock is released.
+    if (::poll(pfds.data(), pfds.size(), kPollMillis) < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    std::vector<std::unique_ptr<Connection>> finished;
-    {
-      const util::OrderedLock lock(connections_mutex_);
-      finished = take_finished_locked();
+    if ((pfds[0].revents & POLLIN) != 0) {
+      eventfd_t signals = 0;
+      ::eventfd_read(wake_fd_, &signals);
     }
-    finished.clear();
-    if (rc == 0) continue;
+    if ((pfds[1].revents & POLLIN) != 0) accept_pending();
+    // A wake-up or POLLOUT needs only the flush at the top of the loop.
+    for (std::size_t k = 0; k < polled.size(); ++k) {
+      if ((pfds[k + 2].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+        serve(*polled[k]);
+      }
+    }
+  }
+}
+
+void SocketServer::accept_pending() {
+  for (;;) {
     const int fd = accept_from(listen_fd_, endpoint_);
-    if (fd < 0) continue;
-    const util::OrderedLock lock(connections_mutex_);
+    if (fd < 0) return;
+    const util::OrderedLock lock(mutex_);
     if (connections_.size() >=
         static_cast<std::size_t>(config_.max_connections)) {
-      // Connection-level load shedding: over the cap we refuse to queue
-      // another handler thread, but tell the client it hit a degraded
+      // Connection-level load shedding: over the cap we refuse to serve
+      // another connection, but tell the client it hit a degraded
       // server, not a dead one — best-effort retry-after frame, then
       // close.
       ErrorMsg shed;
@@ -141,81 +176,36 @@ void SocketServer::accept_loop(const std::stop_token& stop) {
     }
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
-    conn->wake_fd = ::eventfd(0, EFD_NONBLOCK);
-    if (conn->wake_fd < 0) continue;  // conn's dtor closes fd
-    Connection* raw = conn.get();
-    conn->thread = std::jthread(
-        [this, raw](const std::stop_token& s) { connection_loop(s, raw); });
     connections_.push_back(std::move(conn));
-    accepted_.fetch_add(1);
   }
 }
 
-std::vector<std::unique_ptr<SocketServer::Connection>>
-SocketServer::take_finished_locked() {
-  connections_mutex_.assert_held();
-  const auto first_done =
-      std::partition(connections_.begin(), connections_.end(),
-                     [](const std::unique_ptr<Connection>& conn) {
-                       return !conn->done.load();
-                     });
-  std::vector<std::unique_ptr<Connection>> finished(
-      std::make_move_iterator(first_done),
-      std::make_move_iterator(connections_.end()));
-  connections_.erase(first_done, connections_.end());
-  return finished;
-}
-
-void SocketServer::connection_loop(const std::stop_token& stop,
-                                   Connection* conn) {
+void SocketServer::serve(Connection& conn) {
   char buf[4096];
-  FrameParser parser;
-  while (!stop.stop_requested() && !conn->done.load()) {
-    bool pending = false;
-    {
-      const util::OrderedLock lock(conn->write_mutex);
-      flush_locked(conn);
-      pending = !conn->outbox.empty();
-    }
-    pollfd pfds[2]{};
-    pfds[0].fd = conn->fd;
-    pfds[0].events = static_cast<short>(POLLIN | (pending ? POLLOUT : 0));
-    pfds[1].fd = conn->wake_fd;
-    pfds[1].events = POLLIN;
-    if (::poll(pfds, 2, kPollMillis) < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if ((pfds[1].revents & POLLIN) != 0) {
-      eventfd_t signals = 0;
-      ::eventfd_read(conn->wake_fd, &signals);
-    }
-    // A wake-up or POLLOUT needs only the flush at the top of the loop.
-    if ((pfds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-    if (n == 0) break;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      break;
-    }
+  const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
+  if (n < 0 && (errno == EINTR || errno == EAGAIN)) return;
+  if (n > 0) {
     try {
-      parser.feed(buf, static_cast<std::size_t>(n));
-      while (const auto frame = parser.next()) {
+      conn.parser.feed(buf, static_cast<std::size_t>(n));
+      while (const auto frame = conn.parser.next()) {
         handle_frame(conn, *frame);
       }
+      return;
     } catch (const std::exception& error) {
       send_frame(conn, MsgType::kError, encode_error(error.what()));
-      break;
     }
   }
-  conn->done.store(true);
+  // The peer left, the read failed, or the client broke the protocol.
+  const util::OrderedLock lock(mutex_);
+  conn.done = true;
 }
 
-void SocketServer::handle_frame(Connection* conn, const Frame& frame) {
+void SocketServer::handle_frame(Connection& conn, const Frame& frame) {
   switch (frame.type) {
     case MsgType::kHello: {
       const HelloMsg hello = decode_hello(frame.payload);
-      conn->player.store(hello.player);
+      const util::OrderedLock lock(mutex_);
+      conn.player = hello.player;
       return;
     }
     case MsgType::kSubmitBid: {
@@ -256,77 +246,73 @@ void SocketServer::handle_frame(Connection* conn, const Frame& frame) {
   }
 }
 
-void SocketServer::send_frame(Connection* conn, MsgType type,
+void SocketServer::send_frame(Connection& conn, MsgType type,
                               std::string_view payload) {
   const std::string frame = outbound_frame(type, payload);
-  const util::OrderedLock lock(conn->write_mutex);
+  const util::OrderedLock lock(mutex_);
   append_locked(conn, frame);
   flush_locked(conn);
 }
 
-bool SocketServer::append_locked(Connection* conn, std::string_view frames) {
-  conn->write_mutex.assert_held();
-  if (conn->done.load()) return false;
-  if (conn->outbox.size() + frames.size() > kMaxOutboxBytes) {
+bool SocketServer::append_locked(Connection& conn, std::string_view frames) {
+  mutex_.assert_held();
+  if (conn.done) return false;
+  if (conn.outbox.size() + frames.size() > kMaxOutboxBytes) {
     // Waiting would stall whoever appends (the clearing thread, for a
     // broadcast); buffering more would grow without bound.
-    conn->done.store(true);
-    ::shutdown(conn->fd, SHUT_RDWR);
+    conn.done = true;
+    ::shutdown(conn.fd, SHUT_RDWR);
     slow_consumer_dropped_.add(1);
     return false;
   }
-  const bool was_empty = conn->outbox.empty();
-  conn->outbox.append(frames);
+  const bool was_empty = conn.outbox.empty();
+  conn.outbox.append(frames);
   return was_empty;
 }
 
-void SocketServer::flush_locked(Connection* conn) {
-  conn->write_mutex.assert_held();
+void SocketServer::flush_locked(Connection& conn) {
+  mutex_.assert_held();
   std::size_t sent = 0;
-  while (!conn->done.load() && sent < conn->outbox.size()) {
-    const ssize_t n = ::send(conn->fd, conn->outbox.data() + sent,
-                             conn->outbox.size() - sent, MSG_NOSIGNAL);
+  while (!conn.done && sent < conn.outbox.size()) {
+    const ssize_t n = ::send(conn.fd, conn.outbox.data() + sent,
+                             conn.outbox.size() - sent, MSG_NOSIGNAL);
     if (n >= 0) {
       sent += static_cast<std::size_t>(n);
     } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
       break;  // the rest waits for POLLOUT
     } else if (errno != EINTR) {
-      conn->done.store(true);
+      conn.done = true;
     }
   }
-  conn->outbox.erase(0, sent);
+  conn.outbox.erase(0, sent);
 }
 
 void SocketServer::broadcast_epoch(const EpochReport& report) {
   MUSK_OBS_SPAN(span, "svc.broadcast");
   span.set_epoch(report.trace_id);
   const std::string result_payload = encode_epoch_result(report);
-  const util::OrderedLock lock(connections_mutex_);
+  const util::OrderedLock lock(mutex_);
+  bool wake = false;
   for (const auto& owned : connections_) {
-    Connection* conn = owned.get();
-    if (conn->done.load()) continue;
+    Connection& conn = *owned;
+    if (conn.done) continue;
     std::string frames = outbound_frame(MsgType::kEpochResult, result_payload);
     // report.notices is sorted by player.
-    const core::PlayerId player = conn->player.load();
     const auto notice = std::lower_bound(
-        report.notices.begin(), report.notices.end(), player,
+        report.notices.begin(), report.notices.end(), conn.player,
         [](const PlayerNotice& n, core::PlayerId p) { return n.player < p; });
-    if (player >= 0 && notice != report.notices.end() &&
-        notice->player == player) {
+    if (conn.player >= 0 && notice != report.notices.end() &&
+        notice->player == conn.player) {
       frames += outbound_frame(
           MsgType::kPlayerNotice,
           encode_player_notice(static_cast<std::uint32_t>(report.epoch),
                                *notice));
     }
-    bool wake = false;
-    {
-      const util::OrderedLock write_lock(conn->write_mutex);
-      wake = append_locked(conn, frames);
-    }
-    // Only an empty outbox needs the signal: a non-empty one is already
-    // being flushed, or waits for POLLOUT.
-    if (wake) ::eventfd_write(conn->wake_fd, 1);
+    wake = append_locked(conn, frames) || wake;
   }
+  // Only an outbox that was empty needs the signal: the loop already
+  // polls a non-empty one for POLLOUT.
+  if (wake) ::eventfd_write(wake_fd_, 1);
 }
 
 }  // namespace musketeer::svc

@@ -1,8 +1,8 @@
 // Socket front end of the rebalancing service.
 //
-// One accept thread plus one thread per connection, all jthreads with
-// stop-token-aware poll loops (no detach, no naked sleeps — the repo
-// lint enforces it). Connections speak the framed protocol in
+// One std::jthread runs one poll(2) loop over the server's eventfd, the
+// listening socket and every connection (no detach, no naked sleeps —
+// the repo lint enforces it). Connections speak the framed protocol in
 // svc/wire.hpp: bids are dispatched straight into the service's intake
 // queue and acked with the IntakeStatus; after every settled epoch the
 // server broadcasts the epoch result to all connections and a targeted
@@ -10,14 +10,15 @@
 //
 // Writes never block. Accepted sockets are non-blocking and, on tcp,
 // have TCP_NODELAY set. Every outbound frame is appended whole to its
-// connection's bounded outbox. A connection's own thread appends and
-// flushes its acks and stats responses at once. The epoch broadcast
-// runs on the clearing thread, so it only appends and wakes each
-// connection's thread through an eventfd; that thread does the sending.
-// A client that lets its outbox grow past kMaxOutboxBytes (two maximal
-// frames) is dropped and counted in
-// svc.server.slow_consumer_dropped_total, so no client can stall a
-// clear.
+// connection's bounded outbox; one mutex guards the connection list and
+// every outbox. The loop accepts (shedding past max_connections), reads
+// and parses frames, appends and flushes acks, stats and errors at
+// once, flushes pending outboxes and reaps closed connections. The
+// epoch broadcast runs on the clearing thread, so it only appends and
+// then writes the eventfd once; the loop does the sending. A client
+// that lets its outbox grow past kMaxOutboxBytes (two maximal frames)
+// is dropped and counted in svc.server.slow_consumer_dropped_total, so
+// no client can stall a clear.
 //
 // A malformed frame (bad magic, oversized length, truncated record)
 // earns the client a best-effort kError frame and a closed connection —
@@ -60,81 +61,67 @@ class SocketServer {
   SocketServer(const SocketServer&) = delete;
   SocketServer& operator=(const SocketServer&) = delete;
 
-  /// Binds, listens, and spawns the accept thread. Throws on bind
-  /// failure. After return, endpoint() names the resolved address.
+  /// Binds, listens, and starts the I/O thread. Throws on bind failure.
+  /// After return, endpoint() names the resolved address.
   void start();
 
-  /// Sends kShutdown to every connection (best effort, without
-  /// blocking), closes all sockets, joins all threads. Idempotent.
+  /// Joins the I/O thread, then sends kShutdown to every connection
+  /// (best effort, without blocking) and closes all sockets.
+  /// Idempotent.
   void stop();
 
   /// Resolved listen address ("tcp:<real-port>" / "unix:<path>").
   std::string endpoint() const;
 
-  std::size_t connections_accepted() const { return accepted_.load(); }
-
  private:
+  /// One client. The I/O thread alone reads the socket and owns the
+  /// parser; `player`, `done` and `outbox` are guarded by mutex_, which
+  /// the epoch broadcast takes to read and append them.
   struct Connection {
-    Connection() = default;
-    /// Joins the thread, then closes both fds.
-    ~Connection();
-    Connection(const Connection&) = delete;
-    Connection& operator=(const Connection&) = delete;
-
     int fd = -1;
-    /// eventfd the epoch broadcast signals when it fills an empty outbox.
-    int wake_fd = -1;
+    FrameParser parser;
     /// Player id from this connection's Hello (-1 = none).
-    std::atomic<core::PlayerId> player{-1};
+    core::PlayerId player = -1;
     /// No more frames: the peer left, a send failed, or the connection
-    /// was dropped as a slow consumer.
-    std::atomic<bool> done{false};
-    /// Serializes the outbox between the epoch broadcast on the clearing
-    /// thread and acks and flushes on the connection thread. The fd's
-    /// read side belongs to the connection thread alone.
-    util::OrderedMutex write_mutex{util::LockRank::kConnection,
-                                   "server.connection.write"};
+    /// was dropped as a slow consumer. The loop closes it next round.
+    bool done = false;
     /// Whole frames the kernel has not taken yet (<= kMaxOutboxBytes).
-    std::string outbox MUSK_GUARDED_BY(write_mutex);
-
-    std::jthread thread;
+    std::string outbox;
   };
 
-  void accept_loop(const std::stop_token& stop)
-      MUSK_EXCLUDES(connections_mutex_);
-  void connection_loop(const std::stop_token& stop, Connection* conn);
-  void handle_frame(Connection* conn, const Frame& frame);
-  void broadcast_epoch(const EpochReport& report)
-      MUSK_EXCLUDES(connections_mutex_);
-  /// Appends one frame and flushes at once, without blocking. Called
-  /// on the connection's own thread, and by stop().
-  void send_frame(Connection* conn, MsgType type, std::string_view payload);
+  void loop(const std::stop_token& stop) MUSK_EXCLUDES(mutex_);
+  /// Accepts every pending connection, shedding past max_connections.
+  void accept_pending() MUSK_EXCLUDES(mutex_);
+  /// Reads what the kernel holds for `conn` and serves its whole frames.
+  void serve(Connection& conn) MUSK_EXCLUDES(mutex_);
+  void handle_frame(Connection& conn, const Frame& frame)
+      MUSK_EXCLUDES(mutex_);
+  void broadcast_epoch(const EpochReport& report) MUSK_EXCLUDES(mutex_);
+  /// Appends one frame and flushes at once, without blocking.
+  void send_frame(Connection& conn, MsgType type, std::string_view payload)
+      MUSK_EXCLUDES(mutex_);
   /// Appends whole frames to the outbox; true when it was empty before.
   /// Past kMaxOutboxBytes the connection is dropped instead.
-  bool append_locked(Connection* conn, std::string_view frames)
-      MUSK_REQUIRES(conn->write_mutex);
+  bool append_locked(Connection& conn, std::string_view frames)
+      MUSK_REQUIRES(mutex_);
   /// Sends as much of the outbox as the kernel takes without blocking.
-  void flush_locked(Connection* conn) MUSK_REQUIRES(conn->write_mutex);
-  /// Moves finished connections out of the registry, so that they are
-  /// joined and closed after connections_mutex_ is released.
-  std::vector<std::unique_ptr<Connection>> take_finished_locked()
-      MUSK_REQUIRES(connections_mutex_);
+  void flush_locked(Connection& conn) MUSK_REQUIRES(mutex_);
 
   RebalanceService& service_;
   const ServerConfig config_;
   Endpoint endpoint_;
   int listen_fd_ = -1;
+  /// The loop polls it; the epoch broadcast and stop() write it.
+  int wake_fd_ = -1;
   bool started_ = false;
   std::atomic<bool> stopping_{false};
-  std::atomic<std::size_t> accepted_{0};
   obs::Counter& slow_consumer_dropped_;
 
-  util::OrderedMutex connections_mutex_{util::LockRank::kServer,
-                                        "server.connections"};
+  util::OrderedMutex mutex_{util::LockRank::kServer, "server"};
   std::vector<std::unique_ptr<Connection>> connections_
-      MUSK_GUARDED_BY(connections_mutex_);
+      MUSK_GUARDED_BY(mutex_);
 
-  std::jthread accept_thread_;
+  std::jthread thread_;
 };
 
 }  // namespace musketeer::svc

@@ -286,13 +286,6 @@ EpochReport RebalanceService::run_epoch() {
     report.max_release_time = stats.max_release_time;
     report.graph_rebuilds = static_cast<int>(
         solve_context_.stats().structure_builds - builds_before);
-    report.solve_components = solve_context_.last_component_count();
-    report.largest_component =
-        static_cast<int>(solve_context_.last_largest_component());
-    last_components_.store(report.solve_components,
-                           std::memory_order_relaxed);
-    last_largest_component_.store(report.largest_component,
-                                  std::memory_order_relaxed);
   }
 
   {
@@ -502,9 +495,6 @@ ServiceStats RebalanceService::stats_snapshot() const {
   stats.imbalance_gini = imbalance_gini_.load(std::memory_order_relaxed);
   stats.imbalance_mean = imbalance_mean_.load(std::memory_order_relaxed);
   stats.solve_threads = executor_.concurrency();
-  stats.last_components = last_components_.load(std::memory_order_relaxed);
-  stats.largest_component =
-      last_largest_component_.load(std::memory_order_relaxed);
   stats.shed_level = admission_.shed_level();
   stats.ewma_clear_seconds = admission_.ewma_seconds();
   stats.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);

@@ -75,10 +75,10 @@ struct ServiceConfig {
   /// it to RecoveryReport::next_epoch so epoch numbering continues
   /// seamlessly across a restart.
   int first_epoch = 0;
-  /// Solve concurrency: worker threads (including the clearing thread)
-  /// M2's VCG exclusion solves fan out across; every other solve is one
-  /// task. 0 = hardware concurrency; 1 = in turn on the clearing thread
-  /// (no pool). Outcomes are bit-identical at any value — see
+  /// Solve concurrency: threads (including the clearing thread) M2's
+  /// VCG exclusion solves fan out across, forked per batch; every other
+  /// solve is one task. 0 = hardware concurrency; 1 = in turn on the
+  /// clearing thread. Outcomes are bit-identical at any value — see
   /// DESIGN.md §13.
   int threads = 0;
   /// Per-attempt clearing deadline (0 = disabled, the legacy run-to-
@@ -149,11 +149,8 @@ struct ServiceStats {
   double imbalance_gini = 0.0;
   double imbalance_mean = 0.0;
   /// Solve concurrency the service was configured with (resolved: never
-  /// 0) and the last epoch's component count and largest component,
-  /// mirrored from its EpochReport (0 before the first non-empty epoch).
+  /// 0).
   int solve_threads = 1;
-  int last_components = 0;
-  int largest_component = 0;
   /// v5 health fields: overload shed level (0-3), the admission
   /// controller's EWMA of epoch clear time, and the degradation
   /// counters (see DESIGN.md §14).
@@ -199,12 +196,6 @@ struct EpochReport {
   /// epoch rebinds in place and reports 0 — the zero-rebuild guarantee.
   /// Not part of the wire protocol (local observability only).
   int graph_rebuilds = 0;
-  /// Weakly-connected components of the epoch's bid graph and the
-  /// largest component's edge count, counted when the solve context
-  /// builds the graph; the same at every thread count (0 for an empty
-  /// epoch).
-  int solve_components = 0;
-  int largest_component = 0;
   /// Degradation ladder rungs this epoch descended before clearing
   /// (0 = the primary mechanism cleared within its deadline). Rung k
   /// means the epoch cleared with degradation_ladder[k-1].
@@ -345,10 +336,11 @@ class RebalanceService {
   /// Rank note: epoch callbacks (socket broadcast) run with this held,
   /// so the server's locks rank *below* it (DESIGN.md §11).
   util::OrderedMutex clear_mutex_{util::LockRank::kService, "svc.clear"};
-  /// Worker pool the epoch's solve tasks run on (kExecutor rank —
-  /// submitted with clear_mutex_ held). Internally synchronized by its
-  /// own mutex, so clear_mutex_ does not guard it; declared before
-  /// solve_context_, which borrows it.
+  /// Runs the epoch's solve tasks, forking threads only for a batch of
+  /// more than one (M2's exclusions). Only the clearing thread runs
+  /// batches, under clear_mutex_; stats_snapshot() reads its const
+  /// concurrency() lock-free, so clear_mutex_ does not guard it.
+  /// Declared before solve_context_, which borrows it.
   ParallelExecutor executor_;  // musk-lint: allow(unguarded-member)
   /// The epoch pipeline's solve context, reused across epochs so a
   /// steady-state clear performs zero flow-graph rebuilds and zero
@@ -399,10 +391,6 @@ class RebalanceService {
   /// atomics so stats_snapshot() reads them lock-free.
   std::atomic<double> imbalance_gini_{0.0};
   std::atomic<double> imbalance_mean_{0.0};
-  /// Last epoch's component count, mirrored from its report so
-  /// stats_snapshot() stays lock-free.
-  std::atomic<int> last_components_{0};
-  std::atomic<int> last_largest_component_{0};
   /// Checkpoint health, mirrored lock-free into stats_snapshot():
   /// snapshots taken by this process, epochs settled since the last
   /// one, and the uptime-seconds at which it completed (-1 = never).

@@ -229,8 +229,6 @@ std::string encode_stats_response(const StatsResponseMsg& msg) {
   put_f64(out, s.imbalance_gini);
   put_f64(out, s.imbalance_mean);
   put_u32(out, static_cast<std::uint32_t>(s.solve_threads));
-  put_u32(out, static_cast<std::uint32_t>(s.last_components));
-  put_u32(out, static_cast<std::uint32_t>(s.largest_component));
   put_u32(out, static_cast<std::uint32_t>(s.shed_level));
   put_f64(out, s.ewma_clear_seconds);
   put_u64(out, s.deadline_exceeded);
@@ -265,8 +263,6 @@ StatsResponseMsg decode_stats_response(std::string_view payload) {
   s.imbalance_gini = in.f64();
   s.imbalance_mean = in.f64();
   s.solve_threads = static_cast<int>(in.u32());
-  s.last_components = static_cast<int>(in.u32());
-  s.largest_component = static_cast<int>(in.u32());
   s.shed_level = static_cast<int>(in.u32());
   s.ewma_clear_seconds = in.f64();
   s.deadline_exceeded = in.u64();

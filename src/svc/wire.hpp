@@ -44,7 +44,8 @@
 // kRejectedOverload intake status. v6 adds the checkpoint-health fields
 // (snapshot age, epochs since snapshot, snapshots taken, journal
 // segment count) to kStatsResponse. v7 drops the force-cancel counter
-// from kStatsResponse's degradation counters. Versions are not
+// from kStatsResponse's degradation counters. v8 drops v4's two
+// component-shape fields from kStatsResponse. Versions are not
 // cross-compatible; both sides reject mismatched versions at the frame
 // header.
 #pragma once
@@ -60,7 +61,7 @@
 namespace musketeer::svc {
 
 inline constexpr std::uint32_t kWireMagic = 0x4B53554D;  // "MUSK"
-inline constexpr std::uint16_t kWireVersion = 7;
+inline constexpr std::uint16_t kWireVersion = 8;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 inline constexpr std::size_t kMaxFramePayload = 1u << 20;  // 1 MiB
 

@@ -18,18 +18,12 @@
 // for the full table and how to add a new lock):
 //
 //   kService(90)   > RebalanceService epoch pipeline (clear_mutex_)
-//   kServer(80)    > SocketServer connection registry
-//   kConnection(70)> per-connection write serialization
+//   kServer(80)    > SocketServer connection list and outboxes
 //   kScheduler(60) > RebalanceService periodic-scheduler wait
 //   kNetwork(50)   > the live pcn::Network
 //   kJournal(40)   > epoch journal appends
 //   kReports(30)   > completed-epoch reports + wait_epochs
 //   kBidQueue(20)  > bid intake
-//   kExecutor(15)  > svc::ParallelExecutor dispatch (the epoch pipeline
-//                    submits work with kService held, so it ranks below
-//                    kService; the executor lock is never held while a
-//                    task body runs, so tasks may take kFaultRegistry /
-//                    kObsRegistry freely)
 //   kFaultRegistry(10) > util::fault schedule (hooks fire under
 //                        everything above, so it must rank low)
 //   kObsRegistry(5)    > obs metrics registry (instruments may be
@@ -38,7 +32,7 @@
 //
 // Note the discovered order Service > Server: epoch broadcast runs on
 // the clearing thread with the epoch lock held and then walks the
-// connection registry — the naive "network-facing layers rank above the
+// connection list — the naive "network-facing layers rank above the
 // service" guess is exactly the inversion this auditor exists to catch.
 #pragma once
 
@@ -55,13 +49,11 @@ namespace musketeer::util {
 enum class LockRank : int {
   kService = 90,
   kServer = 80,
-  kConnection = 70,
   kScheduler = 60,
   kNetwork = 50,
   kJournal = 40,
   kReports = 30,
   kBidQueue = 20,
-  kExecutor = 15,
   kFaultRegistry = 10,
   kObsRegistry = 5,
 };

@@ -221,22 +221,18 @@ void expect_components(SolveContext& ctx, const Graph& g) {
   ctx.bind_from(GraphSource{g});
   const std::vector<EdgeId> want = bfs_edges_per_component(g);
   EXPECT_EQ(ctx.last_component_count(), static_cast<int>(want.size()));
-  EXPECT_EQ(ctx.last_largest_component(),
-            want.empty() ? 0 : *std::max_element(want.begin(), want.end()));
 }
 
 TEST(SolveContextComponentTest, EmptyGraphHasNoComponents) {
   SolveContext ctx;
   ctx.bind_from(GraphSource{Graph(0)});
   EXPECT_EQ(ctx.last_component_count(), 0);
-  EXPECT_EQ(ctx.last_largest_component(), 0);
 }
 
 TEST(SolveContextComponentTest, IsolatedNodesAreNoComponent) {
   SolveContext ctx;
   ctx.bind_from(GraphSource{Graph(5)});
   EXPECT_EQ(ctx.last_component_count(), 0);
-  EXPECT_EQ(ctx.last_largest_component(), 0);
 }
 
 TEST(SolveContextComponentTest, SingleEdgeIsOneComponent) {
@@ -245,7 +241,6 @@ TEST(SolveContextComponentTest, SingleEdgeIsOneComponent) {
   SolveContext ctx;
   ctx.bind_from(GraphSource{g});
   EXPECT_EQ(ctx.last_component_count(), 1);
-  EXPECT_EQ(ctx.last_largest_component(), 1);
 }
 
 TEST(SolveContextComponentTest, FullyConnectedIsOneComponent) {
@@ -254,7 +249,6 @@ TEST(SolveContextComponentTest, FullyConnectedIsOneComponent) {
   SolveContext ctx;
   ctx.bind_from(GraphSource{g});
   EXPECT_EQ(ctx.last_component_count(), 1);
-  EXPECT_EQ(ctx.last_largest_component(), 6);
 }
 
 // Capacity-0 edges still connect their endpoints: a depleted or masked
@@ -267,7 +261,6 @@ TEST(SolveContextComponentTest, ZeroCapacityEdgesStillConnect) {
   SolveContext ctx;
   ctx.bind_from(GraphSource{g});
   EXPECT_EQ(ctx.last_component_count(), 1);
-  EXPECT_EQ(ctx.last_largest_component(), 3);
 }
 
 // One reused context against the BFS reference on random graphs. The

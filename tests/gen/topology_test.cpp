@@ -98,17 +98,6 @@ TEST(TopologyTest, GridShape) {
   EXPECT_TRUE(connected(12, t));
 }
 
-TEST(TopologyTest, HubAndSpokeConnectsEveryLeaf) {
-  util::Rng rng(6);
-  const Topology t = hub_and_spoke(40, 4, 0.3, rng);
-  EXPECT_TRUE(connected(40, t));
-  const auto deg = degrees(40, t);
-  for (NodeId leaf = 4; leaf < 40; ++leaf) {
-    EXPECT_GE(deg[static_cast<std::size_t>(leaf)], 1);
-    EXPECT_LE(deg[static_cast<std::size_t>(leaf)], 2);
-  }
-}
-
 TEST(TopologyTest, DedupeRemovesDuplicatesAndLoops) {
   Topology t{{1, 0}, {0, 1}, {2, 2}, {1, 2}};
   const Topology d = dedupe(t);

@@ -86,7 +86,7 @@ TEST(ObsGate, TracingDoesNotPerturbSettlement) {
 
 // M2's exclusion solves run as executor tasks outside
 // SolveContext::solve, so they count themselves: one vcg_prices call on
-// a 4-thread pool adds one exclusion solve per buyer.
+// a 4-thread executor adds one exclusion solve per buyer.
 TEST(ObsGate, VcgExclusionSolvesAreCounted) {
   util::Rng rng(0x0B5);
   const core::Game game = gen::random_ba_game(30, 2, gen::GameConfig{}, rng);

@@ -54,7 +54,7 @@ TEST(Journal, RecordsSurviveReopen) {
     journal.append_settled(0, 222);
     journal.append_begin(1, 222);
     journal.append_aborted(1, 222);
-    EXPECT_EQ(journal.records().size(), 4u);
+    EXPECT_EQ(scan_journal(path).records.size(), 4u);
   }
   Journal journal(path);
   ASSERT_EQ(journal.records().size(), 4u);
@@ -67,6 +67,47 @@ TEST(Journal, RecordsSurviveReopen) {
   EXPECT_EQ(journal.records()[2].type, RecordType::kBegin);
   EXPECT_EQ(journal.records()[2].epoch, 1);
   EXPECT_EQ(journal.records()[3].type, RecordType::kAborted);
+}
+
+// records() is what open() recovered. Appends go to disk only, so a
+// journal-only daemon holds no copy of the history it writes.
+TEST(Journal, AppendsReachTheDiskButNotRecords) {
+  const std::string path = temp_journal("disk_only");
+  {
+    Journal journal(path);
+    journal.append_begin(0, 1);
+    journal.append_settled(0, 2);
+  }
+  Journal journal(path);
+  ASSERT_EQ(journal.records().size(), 2u);
+  const std::uint64_t bytes_before = journal.committed_bytes();
+  constexpr int kEpochs = 50;
+  for (int epoch = 1; epoch <= kEpochs; ++epoch) {
+    journal.append_begin(epoch, 2);
+    journal.append_degraded(epoch, 2, 1, "m1");
+    journal.append_settled(epoch, 2);
+    EXPECT_EQ(journal.records().size(), 2u) << "epoch " << epoch;
+  }
+
+  const std::vector<JournalRecord> written = scan_journal(path).records;
+  ASSERT_EQ(written.size(), 2u + 3u * kEpochs);
+  for (int epoch = 1; epoch <= kEpochs; ++epoch) {
+    const std::size_t at = 2 + 3 * static_cast<std::size_t>(epoch - 1);
+    EXPECT_EQ(written[at].type, RecordType::kBegin);
+    EXPECT_EQ(written[at + 1].type, RecordType::kDegraded);
+    EXPECT_EQ(written[at + 1].payload, std::string("\x01m1", 3));
+    EXPECT_EQ(written[at + 2].type, RecordType::kSettled);
+    for (std::size_t k = at; k < at + 3; ++k) {
+      EXPECT_EQ(written[k].epoch, epoch);
+      EXPECT_EQ(written[k].digest, 2u);
+    }
+  }
+  // The record layout is unchanged: 29 bytes of framing per record
+  // (magic, type, epoch, digest, length, checksum) plus its payload.
+  const std::uint64_t appended = 3u * kEpochs * 29u + kEpochs * 3u;
+  EXPECT_EQ(journal.committed_bytes(), bytes_before + appended);
+  EXPECT_EQ(read_bytes(segment_path(path, 0)).size(),
+            journal.committed_bytes());
 }
 
 TEST(Journal, TornTailTruncatedOnOpen) {
@@ -168,17 +209,16 @@ TEST(Journal, CompactBelowUnlinksCoveredSegments) {
     }
     // Segments 0..3; epoch 2's records live in segment 2, segment 3 is
     // the empty current tail.
-    records_kept =
-        journal.records().size() - journal.records_from_segment(2);
+    for (const SegmentStat& seg : scan_journal(path).segments) {
+      if (seg.seq >= 2) records_kept += seg.records;
+    }
+    EXPECT_EQ(records_kept, 2u);
 
     EXPECT_EQ(journal.compact_below(2), 2u);
     EXPECT_EQ(journal.oldest_segment(), 2u);
     EXPECT_EQ(journal.segment_count(), 2u);
     EXPECT_EQ(list_segments(path), (std::vector<std::uint64_t>{2, 3}));
-    // Memory follows the files: the unlinked segments' records are gone
-    // from the open journal too, and the surviving ones are rebased.
-    EXPECT_EQ(journal.records().size(), records_kept);
-    EXPECT_EQ(journal.records_from_segment(2), 0u);
+    EXPECT_EQ(scan_journal(path).records.size(), records_kept);
     // Idempotent: nothing left below the bound.
     EXPECT_EQ(journal.compact_below(2), 0u);
   }
@@ -374,9 +414,10 @@ TEST(Journal, InflightOutcomeAppliedExactlyOnceAndClosed) {
     EXPECT_EQ(report.final_digest, reference_report.network_digest);
     expect_networks_equal(recovered, reference);
     // Recovery closed the epoch durably.
-    ASSERT_FALSE(journal.records().empty());
-    EXPECT_EQ(journal.records().back().type, RecordType::kSettled);
-    EXPECT_EQ(journal.records().back().digest, reference_report.network_digest);
+    const std::vector<JournalRecord> written = scan_journal(path).records;
+    ASSERT_FALSE(written.empty());
+    EXPECT_EQ(written.back().type, RecordType::kSettled);
+    EXPECT_EQ(written.back().digest, reference_report.network_digest);
   }
 
   // A second recovery (recovery itself interrupted and retried) replays

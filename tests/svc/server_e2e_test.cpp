@@ -1,8 +1,9 @@
 // End-to-end: in-process musketeerd, concurrent wire clients, exact
 // equivalence of the settled network with a single-threaded sim run,
 // whole frames under concurrent acks and broadcasts, a client that never
-// reads, and unix-socket path reclamation (stale sockets reclaimed, live
-// ones and regular files refused).
+// reads, one I/O thread for any number of clients, and unix-socket path
+// reclamation (stale sockets reclaimed, live ones and regular files
+// refused).
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -278,6 +279,57 @@ TEST(ServerE2E, AcksAndBroadcastsArriveAsWholeFrames) {
   daemon->stop();
 }
 
+// One I/O thread serves every connection: 16 clients add no thread to
+// the process, and each still gets its acks and every epoch result, in
+// order.
+TEST(ServerE2E, SixteenClientsAddNoThread) {
+  constexpr int kConnections = 16;
+  constexpr int kRounds = 3;
+  const sim::SimulationConfig config = small_config(18);
+  auto daemon = make_daemon(config);
+  daemon->start(/*periodic_epochs=*/false);
+  const int before = testutil::thread_count();
+
+  std::vector<Client> clients;
+  clients.reserve(kConnections);
+  for (int t = 0; t < kConnections; ++t) {
+    clients.emplace_back(daemon->endpoint());
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    for (int t = 0; t < kConnections; ++t) {
+      BidSubmission bid;
+      bid.player = static_cast<core::PlayerId>(t);
+      const BidAckMsg ack =
+          clients[static_cast<std::size_t>(t)].submit(bid);
+      EXPECT_TRUE(intake_ok(ack.status))
+          << "client " << t << ": " << to_string(ack.status);
+      EXPECT_EQ(ack.intake_epoch, static_cast<std::uint32_t>(round));
+    }
+    // Every connection has been accepted and served by now.
+    EXPECT_LE(testutil::thread_count(), before) << "round " << round;
+    EXPECT_EQ(daemon->service().run_epoch().bids_applied,
+              static_cast<std::size_t>(kConnections));
+  }
+
+  for (int t = 0; t < kConnections; ++t) {
+    Client& client = clients[static_cast<std::size_t>(t)];
+    ASSERT_TRUE(client
+                    .wait_epoch_at_least(kRounds - 1, std::chrono::seconds(30))
+                    .has_value())
+        << "client " << t;
+    const std::vector<EpochResultMsg> results = client.take_epoch_results();
+    ASSERT_EQ(results.size(), static_cast<std::size_t>(kRounds))
+        << "client " << t;
+    for (int round = 0; round < kRounds; ++round) {
+      EXPECT_EQ(results[static_cast<std::size_t>(round)].epoch,
+                static_cast<std::uint32_t>(round))
+          << "client " << t;
+    }
+  }
+  EXPECT_LE(testutil::thread_count(), before);
+  daemon->stop();
+}
+
 /// Reads `fd` until EOF (true) or an error or the deadline (false).
 bool reads_to_eof(int fd, std::chrono::seconds limit) {
   const auto deadline = std::chrono::steady_clock::now() + limit;
@@ -471,6 +523,8 @@ TEST(ServerE2E, LiveUnixSocketNotStolen) {
   auto usurper = make_unix_daemon(config, path);
   EXPECT_THROW(usurper->start(/*periodic_epochs=*/false),
                std::runtime_error);
+  // Tearing the failed daemon down leaves the path to its owner too.
+  usurper.reset();
 
   // The first daemon is unharmed and still answering.
   Client client(first->endpoint());

@@ -1,4 +1,4 @@
-// Thread-count equivalence: a SolveContext with a worker pool attached
+// Thread-count equivalence: a SolveContext with a ParallelExecutor attached
 // gives results BIT-identical to a flat whole-graph network simplex
 // solve — circulations against the flat solve_max_welfare, M3's priced
 // cycles against whole-graph M3, VCG prices against whole-graph G_{-v}
@@ -6,8 +6,8 @@
 // SolveStats counters — at every thread count; and every mechanism's
 // outcome and the settled-network digests do not depend on the thread
 // count. The corpus mixes connected and multi-component games. M2 runs
-// its exclusion solves as pool tasks; the suite carries the svc label so
-// the tsan CI preset races them.
+// its exclusion solves as executor tasks on forked threads; the suite
+// carries the svc label so the tsan CI preset races them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -224,8 +224,8 @@ TEST_P(ShardedEquivalenceTest, AllMechanismsAllSolversBitIdentical) {
   }
 }
 
-// VCG prices compared directly against whole-graph G_{-v} solves: the
-// pool deals the buyers to its tasks differently at every thread count,
+// VCG prices compared directly against whole-graph G_{-v} solves: M2
+// deals the buyers to its tasks differently at every thread count,
 // and each task reuses one masked graph copy and one workspace across
 // its buyers, yet every price must be the fresh solve's.
 TEST_P(ShardedEquivalenceTest, VcgPricesBitIdentical) {
@@ -326,16 +326,11 @@ TEST(ShardedDualTest, VerifyDualAgreesWithIsOptimalOnCorpus) {
 
 // On a 5-component game the context's SolveStats counters match the
 // flat whole-graph solve's, and the one structure build is the bind's.
-// The component count is the cluster count, and the largest component
-// is the largest cluster's edge count.
+// The component count is the cluster count.
 TEST(ShardedStatsTest, CountersSumAcrossComponents) {
   util::Rng rng(0x57A75);
   const core::Game game = clustered_game(5, 10, rng);
   const core::BidVector bids = game.truthful_bids();
-  std::vector<flow::EdgeId> cluster_edges(5, 0);
-  for (core::EdgeId e = 0; e < game.num_edges(); ++e) {
-    ++cluster_edges[static_cast<std::size_t>(game.edge(e).from / 10)];
-  }
 
   flow::SolveStats want;
   const flow::Circulation f_whole =
@@ -350,8 +345,6 @@ TEST(ShardedStatsTest, CountersSumAcrossComponents) {
 
   EXPECT_EQ(f_sharded, f_whole);
   EXPECT_EQ(sharded.last_component_count(), 5);
-  EXPECT_EQ(sharded.last_largest_component(),
-            *std::max_element(cluster_edges.begin(), cluster_edges.end()));
   // A 5-component game has cycles in more than one component, so a
   // "last component wins" regression would under-report here.
   EXPECT_GT(want.pivots, 0);
@@ -394,16 +387,6 @@ TEST(ShardedServiceTest, NetworkDigestsMatchAcrossThreadCounts) {
     EXPECT_EQ(reports_sharded[i].network_digest,
               reports_single[i].network_digest)
         << "epoch " << i;
-    // Both runs count the same bid graph's components.
-    EXPECT_EQ(reports_sharded[i].solve_components,
-              reports_single[i].solve_components)
-        << "epoch " << i;
-    EXPECT_EQ(reports_sharded[i].largest_component,
-              reports_single[i].largest_component)
-        << "epoch " << i;
-    if (reports_single[i].game_edges > 0) {
-      EXPECT_GE(reports_single[i].solve_components, 1) << "epoch " << i;
-    }
   }
 }
 

@@ -1,7 +1,11 @@
 // Shared helpers for the service test suite.
 #pragma once
 
+#include <poll.h>
+
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -29,6 +33,29 @@ inline void remove_journal_files(const std::string& base) {
   }
   std::remove((base + ".snap.tmp").c_str());
   std::remove(base.c_str());
+}
+
+/// Threads this process runs right now (the entries of /proc/self/task).
+inline int thread_count() {
+  int threads = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    static_cast<void>(task);
+    ++threads;
+  }
+  return threads;
+}
+
+/// Waits up to `limit` for the process to run at most `want` threads: a
+/// joined thread's /proc entry can outlive the join by a moment.
+inline bool threads_settle_at_most(
+    int want, std::chrono::milliseconds limit = std::chrono::seconds(5)) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (thread_count() > want) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    ::poll(nullptr, 0, 1);
+  }
+  return true;
 }
 
 /// The whole file (empty, and a test failure, when it cannot be read).

@@ -270,8 +270,6 @@ TEST(Wire, StatsResponseRoundTripsEveryField) {
   s.imbalance_gini = 0.125;
   s.imbalance_mean = 0.25;
   s.solve_threads = 9;
-  s.last_components = 10;
-  s.largest_component = 11;
   s.shed_level = 12;
   s.ewma_clear_seconds = 0.0625;
   s.deadline_exceeded = 14;
@@ -302,8 +300,6 @@ TEST(Wire, StatsResponseRoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(b.imbalance_gini, 0.125);
   EXPECT_DOUBLE_EQ(b.imbalance_mean, 0.25);
   EXPECT_EQ(b.solve_threads, 9);
-  EXPECT_EQ(b.last_components, 10);
-  EXPECT_EQ(b.largest_component, 11);
   EXPECT_EQ(b.shed_level, 12);
   EXPECT_DOUBLE_EQ(b.ewma_clear_seconds, 0.0625);
   EXPECT_EQ(b.deadline_exceeded, 14u);

@@ -47,10 +47,11 @@ wait interruptible and every thread joined):
   raw-thread     No raw `std::thread` outside src/svc/executor.* -- a
                  std::thread neither joins on scope exit nor carries a
                  stop_token. Parallel fan-out goes through
-                 svc::ParallelExecutor (the one seam allowed to own a
-                 worker pool); a one-off helper thread is std::jthread so
-                 shutdown joins it. The executor files are exempt (they
-                 call std::thread::hardware_concurrency()).
+                 svc::ParallelExecutor (the one seam that forks threads
+                 for a batch and joins them before it returns); a one-off
+                 helper thread is std::jthread so shutdown joins it. The
+                 executor files are exempt (they call
+                 std::thread::hardware_concurrency()).
   adhoc-timing   No `steady_clock::now()` (or high_resolution_clock /
                  system_clock, or a `Clock::now()` alias read) in src/ or
                  tools/ outside src/obs/ -- time a duration with

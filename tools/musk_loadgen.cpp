@@ -13,7 +13,7 @@
 //                       surrendering (0 = fail fast)         [2000]
 //
 // daemon options (--spawn starts an in-process musketeerd on an
-// ephemeral loopback port):
+// ephemeral loopback port; parsed by daemon_flags.hpp, as musketeerd's):
 //   --nodes <n> --seed <s> --mechanism <m> --epoch-ms <ms>
 //   --queue-cap <n> --threads <n> (epoch-solve concurrency for M2's
 //   exclusion solves; 0 = hardware, 1 = in turn on the clearing thread)
@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "core/mechanism_factory.hpp"
+#include "daemon_flags.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
@@ -138,6 +139,10 @@ int main(int argc, char** argv) {
       }
       if (i + 1 >= argc) return usage();
       const std::string value = argv[++i];
+      if (tools::parse_daemon_flag(flag, value, mechanism_name, sim_config,
+                                   daemon_config.service)) {
+        continue;
+      }
       if (flag == "--connect") {
         connect = value;
       } else if (flag == "--connections") {
@@ -150,38 +155,6 @@ int main(int argc, char** argv) {
         players = static_cast<flow::NodeId>(std::stol(value));
       } else if (flag == "--retry-budget-ms") {
         retry_budget_ms = std::stol(value);
-      } else if (flag == "--nodes") {
-        sim_config.num_nodes = static_cast<flow::NodeId>(std::stol(value));
-      } else if (flag == "--seed") {
-        sim_config.seed = std::stoull(value);
-      } else if (flag == "--mechanism") {
-        mechanism_name = value;
-      } else if (flag == "--epoch-ms") {
-        daemon_config.service.epoch_period =
-            std::chrono::milliseconds(std::stol(value));
-      } else if (flag == "--queue-cap") {
-        daemon_config.service.queue_capacity =
-            static_cast<std::size_t>(std::stoull(value));
-      } else if (flag == "--threads") {
-        daemon_config.service.threads = static_cast<int>(std::stol(value));
-      } else if (flag == "--deadline-ms") {
-        daemon_config.service.epoch_deadline =
-            std::chrono::milliseconds(std::stol(value));
-      } else if (flag == "--degrade") {
-        daemon_config.service.degradation_ladder.clear();
-        std::size_t pos = 0;
-        while (pos <= value.size()) {
-          const std::size_t comma = value.find(',', pos);
-          const std::string name =
-              value.substr(pos, comma == std::string::npos
-                                    ? std::string::npos
-                                    : comma - pos);
-          if (!name.empty()) {
-            daemon_config.service.degradation_ladder.push_back(name);
-          }
-          if (comma == std::string::npos) break;
-          pos = comma + 1;
-        }
       } else {
         std::fprintf(stderr, "unknown option: %s\n", flag.c_str());
         return usage();

@@ -71,10 +71,6 @@ int main(int argc, char** argv) {
     table.add_row({"imbalance (mean)",
                    util::format("%.4f", stats.imbalance_mean)});
     table.add_row({"solve threads", std::to_string(stats.solve_threads)});
-    table.add_row({"last epoch components",
-                   std::to_string(stats.last_components)});
-    table.add_row({"largest component (edges)",
-                   std::to_string(stats.largest_component)});
     table.add_row({"shed level", std::to_string(stats.shed_level)});
     table.add_row({"clear EWMA",
                    util::format("%.3f ms", 1e3 * stats.ewma_clear_seconds)});

@@ -11,10 +11,10 @@
 //   --epochs <n>       stop after n epochs (0 = run forever) [0]
 //   --queue-cap <n>    intake queue capacity (players)       [1024]
 //   --threads <n>      epoch-solve concurrency: M2's VCG exclusion
-//                      solves run across n threads (0 = hardware
-//                      concurrency, 1 = in turn on the clearing
-//                      thread; outcomes are bit-identical at any
-//                      value)                                 [0]
+//                      solves run across n threads, forked per batch
+//                      (0 = hardware concurrency, 1 = in turn on the
+//                      clearing thread; outcomes are bit-identical at
+//                      any value)                             [0]
 //   --journal <path>   crash-safe epoch journal (WAL); on restart the
 //                      daemon recovers from the newest valid snapshot
 //                      (if any) plus the journal tail — falling back to
@@ -54,6 +54,7 @@
 #include <string>
 
 #include "core/mechanism_factory.hpp"
+#include "daemon_flags.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "svc/daemon.hpp"
@@ -94,50 +95,22 @@ int main(int argc, char** argv) {
     for (int i = 1; i + 1 < argc; i += 2) {
       const std::string flag = argv[i];
       const std::string value = argv[i + 1];
+      if (tools::parse_daemon_flag(flag, value, mechanism_name, sim_config,
+                                   config.service)) {
+        continue;
+      }
       if (flag == "--listen") {
         listen = value;
-      } else if (flag == "--mechanism") {
-        mechanism_name = value;
-      } else if (flag == "--nodes") {
-        sim_config.num_nodes = static_cast<flow::NodeId>(std::stol(value));
-      } else if (flag == "--seed") {
-        sim_config.seed = std::stoull(value);
       } else if (flag == "--skew") {
         sim_config.initial_skew = std::stod(value);
-      } else if (flag == "--epoch-ms") {
-        config.service.epoch_period =
-            std::chrono::milliseconds(std::stol(value));
       } else if (flag == "--epochs") {
         config.service.max_epochs = static_cast<int>(std::stol(value));
-      } else if (flag == "--queue-cap") {
-        config.service.queue_capacity =
-            static_cast<std::size_t>(std::stoull(value));
-      } else if (flag == "--threads") {
-        config.service.threads = static_cast<int>(std::stol(value));
       } else if (flag == "--journal") {
         config.journal_path = value;
       } else if (flag == "--snapshot-every") {
         config.snapshot_every = static_cast<int>(std::stol(value));
       } else if (flag == "--journal-keep") {
         config.keep_snapshots = static_cast<int>(std::stol(value));
-      } else if (flag == "--deadline-ms") {
-        config.service.epoch_deadline =
-            std::chrono::milliseconds(std::stol(value));
-      } else if (flag == "--degrade") {
-        config.service.degradation_ladder.clear();
-        std::size_t start = 0;
-        while (start <= value.size()) {
-          const std::size_t comma = value.find(',', start);
-          const std::string name =
-              value.substr(start, comma == std::string::npos
-                                      ? std::string::npos
-                                      : comma - start);
-          if (!name.empty()) {
-            config.service.degradation_ladder.push_back(name);
-          }
-          if (comma == std::string::npos) break;
-          start = comma + 1;
-        }
       } else if (flag == "--trace-out") {
         trace_out = value;
       } else {
