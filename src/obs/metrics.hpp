@@ -162,7 +162,7 @@ class Registry {
 
   /// Rank kObsRegistry sits below every other lock in the hierarchy,
   /// so instruments can be registered from any context, including under
-  /// the service's epoch or network locks.
+  /// the service's epoch lock.
   mutable util::OrderedMutex mutex_{util::LockRank::kObsRegistry,
                                     "obs.registry"};
   std::map<std::string, Entry> entries_ MUSK_GUARDED_BY(mutex_);

@@ -16,17 +16,13 @@ Daemon::Daemon(pcn::Network network,
     // snapshots a previous run left behind (the journal may already be
     // compacted below genesis).
     journal_ = std::make_unique<Journal>(config.journal_path);
-    snapshots_ = std::make_unique<SnapshotStore>(
-        config.journal_path, config.keep_snapshots < 1 ? 1
-                                                       : config.keep_snapshots);
+    snapshots_ = std::make_unique<SnapshotStore>(config.journal_path,
+                                                 config.keep_snapshots);
     recovery_ = recover(*journal_, *snapshots_, network_,
                         config.service.policy);
     config.service.journal = journal_.get();
     config.service.snapshots = snapshots_.get();
-    config.service.first_epoch = recovery_.next_epoch;
-    config.service.snapshot_every = config.snapshot_every;
-    config.service.initial_watermarks = recovery_.watermarks;
-    config.service.initial_ewma_seconds = recovery_.ewma_seconds;
+    config.service.recovered = recovery_;
   }
   service_ = std::make_unique<RebalanceService>(network_, *mechanism_,
                                                 config.service);

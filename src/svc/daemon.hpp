@@ -24,15 +24,11 @@ struct DaemonConfig {
   /// replay it against the passed-in genesis network before the service
   /// starts, and journal every epoch. The passed network must be the
   /// same genesis state the journal was started against (digest-checked
-  /// on replay).
+  /// on replay). Checkpointing (service.snapshot_every) needs it.
   std::string journal_path;
-  /// Checkpoint cadence: every N settled epochs the daemon snapshots the
-  /// recovered state and compacts journal segments the snapshot covers.
-  /// 0 disables checkpointing (journal-only, replay from genesis).
-  /// Ignored when journal_path is empty.
-  int snapshot_every = 0;
   /// How many validated snapshots to retain (newest-first); older ones
-  /// are unlinked after each successful write. Minimum 1.
+  /// are unlinked after each successful write. SnapshotStore raises
+  /// values below 1 to 1.
   int keep_snapshots = 2;
 };
 

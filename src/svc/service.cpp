@@ -98,7 +98,7 @@ RebalanceService::RebalanceService(pcn::Network& network,
                      : 0.0),
       executor_(config.threads),
       network_(network),
-      epochs_cleared_(config.first_epoch) {
+      epochs_cleared_(config.recovered.next_epoch) {
   // With concurrency 1 the executor runs every task inline on the
   // clearing thread.
   solve_context_.set_executor(&executor_);
@@ -117,9 +117,9 @@ RebalanceService::RebalanceService(pcn::Network& network,
   // Recovered state: duplicate detection and the committed-watermark
   // set resume where the pre-crash daemon left them, and the admission
   // controller re-enters at its pre-crash shed level.
-  queue_.restore_watermarks(config_.initial_watermarks);
-  admission_.seed(config_.initial_ewma_seconds);
-  for (const auto& [player, seq] : config_.initial_watermarks) {
+  queue_.restore_watermarks(config_.recovered.watermarks);
+  admission_.seed(config_.recovered.ewma_seconds);
+  for (const auto& [player, seq] : config_.recovered.watermarks) {
     if (seq != 0) applied_watermarks_[player] = seq;
   }
 }
@@ -140,24 +140,18 @@ IntakeStatus RebalanceService::submit(const BidSubmission& bid) {
   return queue_.submit(bid);
 }
 
-pcn::ExtractedGame RebalanceService::extract_snapshot(
-    std::uint64_t& pre_digest) {
-  const util::OrderedLock net_lock(network_mutex_);
-  pre_digest = network_.state_digest();
-  return pcn::extract_and_lock(network_, config_.policy);
-}
-
 EpochReport RebalanceService::run_epoch() {
   const util::OrderedLock epoch_lock(clear_mutex_);
+  return clear_epoch();
+}
+
+EpochReport RebalanceService::clear_epoch() {
   // The authoritative clear_seconds clock: one obs::Timer over the
   // whole epoch, which the per-phase spans below split.
   const obs::Timer t0;
 
   EpochReport report;
-  {
-    const util::OrderedLock lock(reports_mutex_);
-    report.epoch = epochs_cleared_;
-  }
+  report.epoch = epochs_cleared_.load();
   // (pid << 32) | (epoch + 1): correlates the report with its trace
   // spans; +1 keeps a first epoch numbered 0 distinguishable from "no
   // trace" in span args.
@@ -183,12 +177,13 @@ EpochReport RebalanceService::run_epoch() {
   }
 
   // Snapshot: the extracted game is a value copy whose capacities are
-  // HTLC-locked on the live network, so clearing can proceed off-lock.
+  // HTLC-locked on the live network, so its outcome stays executable.
   // The pre-lock digest is what recovery verifies extraction against.
   MUSK_OBS_SPAN(snapshot_span, "svc.snapshot");
   snapshot_span.set_epoch(trace_id);
-  std::uint64_t pre_digest = 0;
-  pcn::ExtractedGame extracted = extract_snapshot(pre_digest);
+  const std::uint64_t pre_digest = network_.state_digest();
+  pcn::ExtractedGame extracted =
+      pcn::extract_and_lock(network_, config_.policy);
   report.snapshot_seconds = snapshot_span.end();
 
   report.bids_applied = subs.size();
@@ -206,7 +201,6 @@ EpochReport RebalanceService::run_epoch() {
     // process; recovery rolls the dangling BEGIN back.
     throw;
   } catch (...) {
-    const util::OrderedLock net_lock(network_mutex_);
     pcn::release_locks(network_, extracted);
     throw;
   }
@@ -243,7 +237,7 @@ EpochReport RebalanceService::run_epoch() {
       }
       if (!cleared) {
         // Ladder exhausted: the epoch aborts and its number is reused —
-        // and run_epoch returns normally, because a deadline abort is an
+        // and the clear returns normally, because a deadline abort is an
         // operating mode, not a failure: the scheduler must keep
         // clearing.
         abort_epoch(extracted, report.epoch, pre_digest);
@@ -275,7 +269,6 @@ EpochReport RebalanceService::run_epoch() {
     {
       MUSK_OBS_SPAN(settle_span, "svc.settle");
       settle_span.set_epoch(trace_id);
-      const util::OrderedLock net_lock(network_mutex_);
       stats = pcn::apply_outcome(network_, extracted, outcome);
       report.settle_seconds = settle_span.end();
     }
@@ -293,10 +286,9 @@ EpochReport RebalanceService::run_epoch() {
     MUSK_OBS_SPAN(publish_span, "svc.publish");
     publish_span.set_epoch(trace_id);
     report.notices = build_notices(extracted.game, outcome);
-    const util::OrderedLock net_lock(network_mutex_);
     report.network_digest = network_.state_digest();
     // Pickhardt-style imbalance telemetry over the settled balances,
-    // cached in atomics so the stats endpoint never takes this lock.
+    // cached in atomics so the stats endpoint never takes the epoch lock.
     const std::vector<double> imbalances = network_.imbalances();
     const double gini = util::gini(imbalances);
     const double mean = util::mean(imbalances);
@@ -334,22 +326,16 @@ EpochReport RebalanceService::run_epoch() {
   MUSK_OBS_GAUGE("svc.queue.high_watermark",
                  static_cast<double>(queue_.high_watermark()));
 
-  {
-    const util::OrderedLock lock(reports_mutex_);
-    ++epochs_cleared_;
-    reports_.push_back(report);
-  }
-  reports_cv_.notify_all();
+  reports_.push_back(report);
+  ++epochs_cleared_;
+  epoch_cv_.notify_all();
   for (const auto& callback : callbacks_) callback(report);
   return report;
 }
 
 void RebalanceService::abort_epoch(pcn::ExtractedGame& extracted, int epoch,
                                    std::uint64_t pre_digest) {
-  {
-    const util::OrderedLock net_lock(network_mutex_);
-    pcn::release_locks(network_, extracted);
-  }
+  pcn::release_locks(network_, extracted);
   if (config_.journal == nullptr) return;
   try {
     config_.journal->append_aborted(epoch, pre_digest);
@@ -382,11 +368,8 @@ void RebalanceService::checkpoint(EpochReport& report) {
     data.watermarks.assign(applied_watermarks_.begin(),
                            applied_watermarks_.end());
     std::sort(data.watermarks.begin(), data.watermarks.end());
-    {
-      const util::OrderedLock net_lock(network_mutex_);
-      data.digest = network_.state_digest();
-      data.network_bytes = encode_network(network_);
-    }
+    data.digest = network_.state_digest();
+    data.network_bytes = encode_network(network_);
     store.write(data);
     // Segments every retained snapshot has made redundant go away; an
     // invalid snapshot in the set conservatively pins everything.
@@ -453,8 +436,8 @@ void RebalanceService::start() {
 void RebalanceService::stop() {
   queue_.close();
   if (scheduler_.joinable()) {
+    // The stop token wakes the scheduler's period wait.
     scheduler_.request_stop();
-    scheduler_cv_.notify_all();
     scheduler_.join();
   }
 }
@@ -471,14 +454,12 @@ void RebalanceService::on_epoch(
 
 bool RebalanceService::wait_epochs(int n,
                                    std::chrono::milliseconds timeout) const {
-  util::OrderedUniqueLock lock(reports_mutex_);
-  return reports_cv_.wait_for(
-      lock, timeout, [&] { return epochs_cleared_for_wait() >= n; });
-}
-
-int RebalanceService::epochs_cleared() const {
-  const util::OrderedLock lock(reports_mutex_);
-  return epochs_cleared_;
+  util::OrderedUniqueLock lock(clear_mutex_);
+  const bool reached = epoch_cv_.wait_for(lock, timeout, [&] {
+    return scheduler_failed_.load() || epochs_cleared_.load() >= n;
+  });
+  if (scheduler_failure_) std::rethrow_exception(scheduler_failure_);
+  return reached;
 }
 
 ServiceStats RebalanceService::stats_snapshot() const {
@@ -511,29 +492,36 @@ ServiceStats RebalanceService::stats_snapshot() const {
 }
 
 std::vector<EpochReport> RebalanceService::reports() const {
-  const util::OrderedLock lock(reports_mutex_);
+  const util::OrderedLock epoch_lock(clear_mutex_);
   return reports_;
 }
 
 pcn::Network RebalanceService::network_snapshot() const {
-  const util::OrderedLock lock(network_mutex_);
+  const util::OrderedLock epoch_lock(clear_mutex_);
   return network_;
 }
 
 void RebalanceService::scheduler_loop(const std::stop_token& stop) {
-  util::OrderedUniqueLock lock(scheduler_mutex_);
-  while (!stop.stop_requested()) {
-    // Stop-token-aware timed wait: wakes early on stop() instead of
-    // sleeping out the period.
-    scheduler_cv_.wait_for(lock, stop, config_.epoch_period,
-                           [] { return false; });
-    if (stop.stop_requested()) break;
-    lock.unlock();
-    run_epoch();
-    const bool reached_limit =
-        config_.max_epochs > 0 && epochs_cleared() >= config_.max_epochs;
-    lock.lock();
-    if (reached_limit) break;
+  util::OrderedUniqueLock epoch_lock(clear_mutex_);
+  for (;;) {
+    // Waits out the period with the epoch lock released; stop() wakes
+    // the wait early through the stop token.
+    epoch_cv_.wait_for(epoch_lock, stop, config_.epoch_period,
+                       [] { return false; });
+    if (stop.stop_requested()) return;
+    try {
+      clear_epoch();
+    } catch (...) {  // musk-lint: allow(bare-catch) -- kept for wait_epochs
+      // An exception escaping the thread would terminate the process:
+      // keep it for wait_epochs() and clear no further epoch.
+      scheduler_failure_ = std::current_exception();
+      scheduler_failed_ = true;
+      epoch_cv_.notify_all();
+      return;
+    }
+    if (config_.max_epochs > 0 && epochs_cleared() >= config_.max_epochs) {
+      return;
+    }
   }
 }
 

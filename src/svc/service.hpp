@@ -6,18 +6,21 @@
 //
 //   1. intake   — clients submit BidSubmissions concurrently through the
 //                 bounded BidQueue (newest-per-player wins, §bid_queue);
-//   2. snapshot — at the epoch boundary the scheduler atomically drains
-//                 the queue and, under the network mutex, runs
-//                 pcn::extract_and_lock: the game's capacities are
-//                 HTLC-locked, so the extracted Game is a self-contained
-//                 value snapshot whose outcome stays executable no
-//                 matter what payments hit the network while clearing;
-//   3. clear    — the mechanism runs on the scheduler thread, *off* the
-//                 network mutex, against truthful valuations overridden
-//                 by the drained bids;
-//   4. settle   — apply_outcome executes every priced cycle atomically
-//                 under the network mutex and releases leftover locks
-//                 (on mechanism failure all locks are released).
+//   2. snapshot — at the epoch boundary the clearing thread drains the
+//                 queue and runs pcn::extract_and_lock: the game's
+//                 capacities are HTLC-locked, so the extracted Game is a
+//                 self-contained value snapshot whose outcome stays
+//                 executable;
+//   3. clear    — the mechanism runs on the clearing thread against
+//                 truthful valuations overridden by the drained bids;
+//   4. settle   — apply_outcome executes every priced cycle and releases
+//                 leftover locks (on mechanism failure all locks are
+//                 released).
+//
+// One lock, the epoch lock, is held across all four stages and guards
+// the network and the reports. Intake, acks and the stats endpoint never
+// take it, so they never wait for a clear; network_snapshot() and
+// reports() do, so they never see an epoch half cleared.
 //
 // Ordering guarantee: a submission acked with intake epoch E is applied
 // to exactly the first epoch cleared after its intake (i.e. epoch >= E),
@@ -31,6 +34,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
@@ -71,10 +75,12 @@ struct ServiceConfig {
   /// (locks released) and propagates — the service must not keep
   /// settling epochs it cannot make durable.
   Journal* journal = nullptr;
-  /// Epoch number of the first epoch this service clears. Recovery sets
-  /// it to RecoveryReport::next_epoch so epoch numbering continues
-  /// seamlessly across a restart.
-  int first_epoch = 0;
+  /// What svc::recover restored (zero-valued for a fresh start). The
+  /// service resumes epoch numbering at `next_epoch`, seeds duplicate
+  /// detection and the committed-watermark set from `watermarks`, and
+  /// re-enters admission at `ewma_seconds`, so a restarted overloaded
+  /// daemon resumes shedding instead of re-warming from zero.
+  RecoveryReport recovered;
   /// Solve concurrency: threads (including the clearing thread) M2's
   /// VCG exclusion solves fan out across, forked per batch; every other
   /// solve is one task. 0 = hardware concurrency; 1 = in turn on the
@@ -110,14 +116,6 @@ struct ServiceConfig {
   /// Snapshot store beside the journal (borrowed; must outlive the
   /// service). nullptr disables checkpointing.
   SnapshotStore* snapshots = nullptr;
-  /// Recovered intake watermarks (RecoveryReport::watermarks): seeds
-  /// duplicate detection and the committed-watermark set the next
-  /// snapshot captures.
-  SeqWatermarks initial_watermarks;
-  /// Recovered admission EWMA (RecoveryReport::ewma_seconds): a
-  /// restarted overloaded daemon resumes shedding instead of re-warming
-  /// from zero.
-  double initial_ewma_seconds = 0.0;
 };
 
 /// Per-player settlement notification for one epoch: what the node pays
@@ -187,9 +185,9 @@ struct EpochReport {
   /// Per-phase breakdown of clear_seconds, measured by the epoch
   /// tracer's spans (which measure whether or not tracing is on).
   double drain_seconds = 0.0;     ///< queue drain
-  double snapshot_seconds = 0.0;  ///< extract_and_lock under network mutex
+  double snapshot_seconds = 0.0;  ///< digest + extract_and_lock
   double solve_seconds = 0.0;     ///< mechanism run (bind+solve+price)
-  double settle_seconds = 0.0;    ///< apply_outcome under network mutex
+  double settle_seconds = 0.0;    ///< apply_outcome
   /// flow::Graph structure (re)builds the clearing solve context
   /// performed for this epoch. The first epoch builds the graph once; in
   /// a quiescent steady state (stable extracted topology) every later
@@ -207,9 +205,9 @@ struct EpochReport {
   /// True when this epoch's settlement was followed by a successful
   /// checkpoint (segment roll + snapshot + compaction).
   bool checkpointed = false;
-  /// pcn::Network::state_digest() of the settled network, taken under
-  /// the network lock right after settlement: one u64 a client can check
-  /// against a local replay to verify it observed the same state.
+  /// pcn::Network::state_digest() of the settled network, taken right
+  /// after settlement: one u64 a client can check against a local replay
+  /// to verify it observed the same state.
   std::uint64_t network_digest = 0;
   /// One entry per participating player, sorted by player id.
   std::vector<PlayerNotice> notices;
@@ -231,8 +229,7 @@ class RebalanceService {
 
   /// Clears one epoch synchronously on the calling thread. Thread-safe
   /// against intake and concurrent callers (epochs serialize).
-  EpochReport run_epoch()
-      MUSK_EXCLUDES(clear_mutex_, network_mutex_, reports_mutex_);
+  EpochReport run_epoch() MUSK_EXCLUDES(clear_mutex_);
 
   /// Starts the periodic scheduler thread. Callbacks must be registered
   /// before start().
@@ -243,17 +240,22 @@ class RebalanceService {
   void stop();
 
   /// Registers an epoch-completion callback, invoked on the clearing
-  /// thread after settlement. Must be called before start(); serialized
-  /// against manual run_epoch() callers under the epoch lock.
+  /// thread after settlement with the epoch lock held, so a callback
+  /// must not call reports(), network_snapshot() or wait_epochs(). Must
+  /// be called before start(); serialized against manual run_epoch()
+  /// callers under the epoch lock.
   void on_epoch(std::function<void(const EpochReport&)> callback)
       MUSK_EXCLUDES(clear_mutex_);
 
   /// Blocks until at least `n` epochs have cleared (or the deadline
-  /// passes); returns whether the target was reached.
+  /// passes); returns whether the target was reached. The wait needs
+  /// the epoch lock, so an epoch in flight can delay it past the
+  /// deadline. Once a periodic epoch has failed, rethrows that epoch's
+  /// exception instead: the scheduler clears no further epoch.
   bool wait_epochs(int n, std::chrono::milliseconds timeout) const
-      MUSK_EXCLUDES(reports_mutex_);
+      MUSK_EXCLUDES(clear_mutex_);
 
-  int epochs_cleared() const MUSK_EXCLUDES(reports_mutex_);
+  int epochs_cleared() const { return epochs_cleared_.load(); }
   IntakeCounters intake_counters() const { return queue_.counters(); }
   std::size_t queue_capacity() const { return queue_.capacity(); }
   const pcn::RebalancePolicy& policy() const { return config_.policy; }
@@ -270,40 +272,39 @@ class RebalanceService {
 
   /// Live service state for the stats endpoint. Safe to call from any
   /// thread at any time: every field comes from an atomic or a
-  /// short-critical-section accessor — never the epoch or network lock.
-  ServiceStats stats_snapshot() const MUSK_EXCLUDES(reports_mutex_);
+  /// short-critical-section accessor — never the epoch lock.
+  ServiceStats stats_snapshot() const;
 
-  /// All completed epoch reports, oldest first (copy).
-  std::vector<EpochReport> reports() const MUSK_EXCLUDES(reports_mutex_);
+  /// All completed epoch reports, oldest first (copy). Waits for an
+  /// epoch in flight.
+  std::vector<EpochReport> reports() const MUSK_EXCLUDES(clear_mutex_);
 
-  /// Copy of the network state under the service lock (tests, status).
-  pcn::Network network_snapshot() const MUSK_EXCLUDES(network_mutex_);
+  /// Copy of the settled network (tests, status). Waits for an epoch in
+  /// flight, so no capacity in the copy is HTLC-locked by a clear.
+  pcn::Network network_snapshot() const MUSK_EXCLUDES(clear_mutex_);
 
  private:
   void scheduler_loop(const std::stop_token& stop)
-      MUSK_EXCLUDES(scheduler_mutex_, clear_mutex_);
+      MUSK_EXCLUDES(clear_mutex_);
+
+  /// The body of run_epoch(): snapshot -> clear -> settle -> publish.
+  EpochReport clear_epoch() MUSK_REQUIRES(clear_mutex_);
 
   /// One mechanism attempt under the armed token; returns false when
   /// the attempt's deadline cancelled it, true when `outcome` holds the
-  /// cleared result. Any other exception propagates to run_epoch's
+  /// cleared result. Any other exception propagates to clear_epoch's
   /// abort path unchanged.
   bool run_attempt(const core::Mechanism& mechanism, const core::Game& game,
                    const core::BidVector& bids, std::uint64_t trace_id,
                    EpochReport& report, core::Outcome& outcome)
       MUSK_REQUIRES(clear_mutex_);
 
-  /// Drains + HTLC-locks the epoch's game under the network lock and
-  /// reports the pre-extraction digest (what recovery verifies against).
-  pcn::ExtractedGame extract_snapshot(std::uint64_t& pre_digest)
-      MUSK_EXCLUDES(network_mutex_);
-
   /// All-or-nothing abort of an epoch that will not settle: releases
   /// every pre-lock `extracted` took, so no liquidity leaks, then
   /// journals ABORTED best effort. CrashPoint (simulated kill -9)
   /// propagates; a failed append is reported and swallowed.
   void abort_epoch(pcn::ExtractedGame& extracted, int epoch,
-                   std::uint64_t pre_digest)
-      MUSK_REQUIRES(clear_mutex_) MUSK_EXCLUDES(network_mutex_);
+                   std::uint64_t pre_digest) MUSK_REQUIRES(clear_mutex_);
 
   /// One checkpoint: rolls the journal to a fresh segment, snapshots
   /// the full recovery state, and compacts the segments no retained
@@ -311,16 +312,7 @@ class RebalanceService {
   /// CrashPoint (simulated kill -9) propagates; every other failure is
   /// reported and swallowed — the settled epoch is already durable, a
   /// failed checkpoint only lengthens the next recovery's tail.
-  void checkpoint(EpochReport& report)
-      MUSK_REQUIRES(clear_mutex_) MUSK_EXCLUDES(network_mutex_);
-
-  /// Condition-variable predicate read. The analysis checks a predicate
-  /// lambda out of context and cannot see that wait_for re-acquires
-  /// reports_mutex_ around every evaluation, so the read lives in this
-  /// analysis-exempt helper instead of the lambda body.
-  int epochs_cleared_for_wait() const MUSK_NO_THREAD_SAFETY_ANALYSIS {
-    return epochs_cleared_;
-  }
+  void checkpoint(EpochReport& report) MUSK_REQUIRES(clear_mutex_);
 
   const core::Mechanism& mechanism_;
   const ServiceConfig config_;
@@ -332,10 +324,13 @@ class RebalanceService {
   /// EWMA-driven overload shedding (inert when epoch_deadline is 0).
   AdmissionController admission_;
 
-  /// Serializes epochs so manual and periodic clears cannot interleave.
-  /// Rank note: epoch callbacks (socket broadcast) run with this held,
-  /// so the server's locks rank *below* it (DESIGN.md §11).
-  util::OrderedMutex clear_mutex_{util::LockRank::kService, "svc.clear"};
+  /// The epoch lock, the service's only mutex. A clear holds it from
+  /// drain to callbacks, so manual and periodic clears cannot
+  /// interleave and no reader of the state below sees an epoch half
+  /// cleared. Rank note: epoch callbacks (socket broadcast) run with
+  /// this held, so the server's lock ranks *below* it (DESIGN.md §11).
+  mutable util::OrderedMutex clear_mutex_{util::LockRank::kService,
+                                          "svc.clear"};
   /// Runs the epoch's solve tasks, forking threads only for a batch of
   /// more than one (M2's exclusions). Only the clearing thread runs
   /// batches, under clear_mutex_; stats_snapshot() reads its const
@@ -357,21 +352,21 @@ class RebalanceService {
   /// epochs), captured into every snapshot.
   std::unordered_map<core::PlayerId, std::uint32_t> applied_watermarks_
       MUSK_GUARDED_BY(clear_mutex_);
+  /// The live network: extraction, settlement and network_snapshot().
+  pcn::Network& network_ MUSK_GUARDED_BY(clear_mutex_);
+  std::vector<EpochReport> reports_ MUSK_GUARDED_BY(clear_mutex_);
+  /// The exception a periodic epoch threw; wait_epochs() rethrows it.
+  std::exception_ptr scheduler_failure_ MUSK_GUARDED_BY(clear_mutex_);
+  /// Notified at the end of each epoch and when the scheduler fails:
+  /// wait_epochs() waits on it, and so does the scheduler's period
+  /// (stop() wakes that wait through the stop token).
+  mutable util::OrderedCondVar epoch_cv_;
 
-  /// Guards the live network (extraction + settlement + snapshots).
-  mutable util::OrderedMutex network_mutex_{util::LockRank::kNetwork,
-                                            "svc.network"};
-  pcn::Network& network_ MUSK_GUARDED_BY(network_mutex_);
-
-  mutable util::OrderedMutex reports_mutex_{util::LockRank::kReports,
-                                            "svc.reports"};
-  std::vector<EpochReport> reports_ MUSK_GUARDED_BY(reports_mutex_);
-  int epochs_cleared_ MUSK_GUARDED_BY(reports_mutex_);
-  mutable util::OrderedCondVar reports_cv_;
-
-  util::OrderedMutex scheduler_mutex_{util::LockRank::kScheduler,
-                                      "svc.scheduler"};
-  util::OrderedCondVar scheduler_cv_;
+  /// Written only under the epoch lock and read without it (acks,
+  /// stats, wait predicates). epochs_cleared_ counts from the recovered
+  /// next_epoch; scheduler_failed_ is set beside scheduler_failure_.
+  std::atomic<int> epochs_cleared_;
+  std::atomic<bool> scheduler_failed_{false};
 
   std::jthread scheduler_;
   std::atomic<bool> started_{false};
@@ -387,8 +382,8 @@ class RebalanceService {
 
   /// Service start time (uptime for the stats endpoint).
   const obs::Timer uptime_timer_;
-  /// Imbalance gauges refreshed under the network lock at each settle;
-  /// atomics so stats_snapshot() reads them lock-free.
+  /// Imbalance gauges refreshed at each settle; atomics so
+  /// stats_snapshot() reads them lock-free.
   std::atomic<double> imbalance_gini_{0.0};
   std::atomic<double> imbalance_mean_{0.0};
   /// Checkpoint health, mirrored lock-free into stats_snapshot():

@@ -1,11 +1,11 @@
 // sim::RebalanceBackend implementation that routes every rebalancing
 // round through the epoch-batched service, so E4-style throughput
 // simulations exercise exactly the serving code path (queue drain,
-// lock-extract snapshot, off-lock clear, atomic settle) instead of the
-// historic inline call. With an empty intake queue the cleared bids are
-// the truthful valuations, so a service-backed simulation is
-// bit-identical to an in-process one with the same seed — the
-// equivalence the tests pin down.
+// lock-extract snapshot, clear, settle) instead of the historic inline
+// call. With an empty intake queue the cleared bids are the truthful
+// valuations, so a service-backed simulation is bit-identical to an
+// in-process one with the same seed — the equivalence the tests pin
+// down.
 #pragma once
 
 #include <memory>

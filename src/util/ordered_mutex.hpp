@@ -17,12 +17,12 @@
 // The lock hierarchy (highest rank = acquired first; see DESIGN.md §11
 // for the full table and how to add a new lock):
 //
-//   kService(90)   > RebalanceService epoch pipeline (clear_mutex_)
+//   kService(90)   > RebalanceService epoch lock (clear_mutex_): the
+//                    epoch pipeline, the live pcn::Network, the
+//                    completed-epoch reports, and the scheduler's and
+//                    wait_epochs' waits
 //   kServer(80)    > SocketServer connection list and outboxes
-//   kScheduler(60) > RebalanceService periodic-scheduler wait
-//   kNetwork(50)   > the live pcn::Network
 //   kJournal(40)   > epoch journal appends
-//   kReports(30)   > completed-epoch reports + wait_epochs
 //   kBidQueue(20)  > bid intake
 //   kFaultRegistry(10) > util::fault schedule (hooks fire under
 //                        everything above, so it must rank low)
@@ -49,10 +49,7 @@ namespace musketeer::util {
 enum class LockRank : int {
   kService = 90,
   kServer = 80,
-  kScheduler = 60,
-  kNetwork = 50,
   kJournal = 40,
-  kReports = 30,
   kBidQueue = 20,
   kFaultRegistry = 10,
   kObsRegistry = 5,

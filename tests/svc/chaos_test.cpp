@@ -130,7 +130,7 @@ RecoveryReport crash_and_recover(
   ServiceConfig service_config;
   service_config.policy = config.policy;
   service_config.journal = &journal;
-  service_config.first_epoch = recovery.next_epoch;
+  service_config.recovered = recovery;
   if (tweak) tweak(service_config);
   RebalanceService service(net, mechanism, service_config);
   for (int epoch = recovery.next_epoch; epoch < kTotalEpochs; ++epoch) {
@@ -282,7 +282,7 @@ TEST(Chaos, SilentJournalCorruptionRecoversByRerunning) {
   ServiceConfig service_config;
   service_config.policy = config.policy;
   service_config.journal = &journal;
-  service_config.first_epoch = recovery.next_epoch;
+  service_config.recovered = recovery;
   RebalanceService service(net, mechanism, service_config);
   for (int epoch = recovery.next_epoch; epoch < kTotalEpochs; ++epoch) {
     service.run_epoch();
@@ -423,9 +423,7 @@ RecoveryReport checkpoint_crash_and_recover(const sim::SimulationConfig& config,
   service_config.journal = &journal;
   service_config.snapshots = &snapshots;
   service_config.snapshot_every = kSnapshotEvery;
-  service_config.first_epoch = recovery.next_epoch;
-  service_config.initial_watermarks = recovery.watermarks;
-  service_config.initial_ewma_seconds = recovery.ewma_seconds;
+  service_config.recovered = recovery;
   RebalanceService service(net, mechanism, service_config);
   for (int epoch = recovery.next_epoch; epoch < kTotalEpochs; ++epoch) {
     const EpochReport report = service.run_epoch();
@@ -659,7 +657,7 @@ TEST(Chaos, DoubleCrashDuringRecoveryStaysExactlyOnce) {
   ServiceConfig service_config;
   service_config.policy = config.policy;
   service_config.journal = &journal;
-  service_config.first_epoch = recovery.next_epoch;
+  service_config.recovered = recovery;
   RebalanceService service(net, mechanism, service_config);
   for (int epoch = recovery.next_epoch; epoch < kTotalEpochs; ++epoch) {
     service.run_epoch();
@@ -680,7 +678,7 @@ TEST(Chaos, ResubmitAfterCheckpointedRestartIsDuplicate) {
   daemon_config.service.policy = config.policy;
   daemon_config.server.listen = "tcp:0";
   daemon_config.journal_path = path;
-  daemon_config.snapshot_every = 1;
+  daemon_config.service.snapshot_every = 1;
   {
     Daemon daemon(make_network(config), core::make_mechanism("m3", {}),
                   daemon_config);

@@ -55,15 +55,15 @@ TEST(LockOrderDeathTest, SameRankNestingAborts) {
   REQUIRE_AUDITOR_OR_SKIP();
   // Two peers of equal rank must never nest: two threads nesting them in
   // opposite orders is a deadlock no pairwise rank check would catch.
-  OrderedMutex a(LockRank::kReports, "peer-a");
-  OrderedMutex b(LockRank::kReports, "peer-b");
+  OrderedMutex a(LockRank::kJournal, "peer-a");
+  OrderedMutex b(LockRank::kJournal, "peer-b");
   EXPECT_DEATH(
       {
         const OrderedLock first(a);
         const OrderedLock second(b);
       },
-      "acquiring \"peer-b\" \\(rank 30\\) while holding \"peer-a\" "
-      "\\(rank 30\\)");
+      "acquiring \"peer-b\" \\(rank 40\\) while holding \"peer-a\" "
+      "\\(rank 40\\)");
 }
 
 TEST(LockOrderDeathTest, AssertHeldWithoutLockAborts) {
@@ -129,9 +129,10 @@ TEST(LockOrder, AssertHeldPassesUnderLock) {
 }
 
 // A real journaled epoch on this thread must actually nest locks from
-// the hierarchy (epoch lock over network/journal/reports locks). If a
-// refactor flattens the service onto one mutex — or stops locking — the
-// peak depth stops moving and this fails before any race does.
+// the hierarchy: the service's one lock, the epoch lock, over the
+// journal's and the bid queue's. If a refactor stops holding the epoch
+// lock across the clear — or stops locking — the peak depth stops
+// moving and this fails before any race does.
 TEST(LockOrder, CleanEpochNestsServiceLocks) {
   if (!util::lock_rank::compiled_in()) {
     GTEST_SKIP() << "lock-rank auditor not compiled in";
@@ -152,7 +153,7 @@ TEST(LockOrder, CleanEpochNestsServiceLocks) {
   EXPECT_EQ(report.epoch, 0);
   EXPECT_GE(util::lock_rank::thread_peak_depth(), 2)
       << "run_epoch no longer nests the epoch lock over the "
-         "network/journal locks";
+         "journal/bid-queue locks";
   EXPECT_EQ(util::lock_rank::held_depth(), 0)
       << "run_epoch leaked a lock";
   testutil::remove_journal_files(path);

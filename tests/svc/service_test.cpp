@@ -1,11 +1,14 @@
 // RebalanceService: snapshot/clear/settle equivalence with the historic
-// inline path, bid-override application, notices, the scheduler, and
-// clean abort (locks released, journal closed) when a mechanism throws.
+// inline path, bid-override application, notices, the scheduler, clean
+// abort (locks released, journal closed) when a mechanism throws, a
+// failed periodic epoch surfacing in wait_epochs, and the epoch lock's
+// contract: readers of the network wait for a clear, intake does not.
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <future>
 #include <map>
 #include <string>
 #include <thread>
@@ -439,6 +442,116 @@ TEST(Service, MechanismThrowReleasesLocksAndReusesEpoch) {
   RebalanceService reference_service(reference, clean, reference_config);
   reference_service.run_epoch();
   expect_networks_equal(network, reference);
+}
+
+/// Fails every clear.
+class AlwaysThrowMechanism : public core::Mechanism {
+ public:
+  std::string_view name() const override { return "always-throw"; }
+
+ protected:
+  core::Outcome run_impl(flow::SolveContext& /*ctx*/,
+                         const core::Game& /*game*/,
+                         const core::BidVector& /*bids*/) const override {
+    throw std::runtime_error("mechanism always fails");
+  }
+};
+
+// A periodic epoch that throws must not escape the scheduler thread,
+// where it would terminate the process: the scheduler stops clearing
+// and wait_epochs rethrows the failure to whoever waits on the service.
+TEST(Service, SchedulerFailureSurfacesInWaitEpochs) {
+  const sim::SimulationConfig config = small_config(5);
+  pcn::Network network = make_network(config);
+  const std::uint64_t genesis = network.state_digest();
+  AlwaysThrowMechanism mechanism;
+  ServiceConfig service_config;
+  service_config.policy = config.policy;
+  service_config.epoch_period = std::chrono::milliseconds(1);
+  RebalanceService service(network, mechanism, service_config);
+
+  service.start();
+  EXPECT_THROW(service.wait_epochs(1, std::chrono::seconds(30)),
+               std::runtime_error);
+  service.stop();
+  EXPECT_EQ(service.epochs_cleared(), 0);
+  EXPECT_TRUE(service.reports().empty());
+  // The failed epoch released its pre-locks: nothing moved.
+  EXPECT_EQ(service.network_snapshot().state_digest(), genesis);
+  // The failure is kept, not consumed by the first wait.
+  EXPECT_THROW(service.wait_epochs(0, std::chrono::milliseconds(0)),
+               std::runtime_error);
+}
+
+/// M3, except that its first clear parks until release(): the game is
+/// extracted and its capacity HTLC-locked, and nothing is settled.
+class ParkFirstClearMechanism : public core::Mechanism {
+ public:
+  std::string_view name() const override { return "park-first-clear"; }
+
+  /// Waits (bounded) until the first clear has parked.
+  bool wait_parked() {
+    return parked_future_.wait_for(std::chrono::seconds(30)) ==
+           std::future_status::ready;
+  }
+  void release() { release_.set_value(); }
+
+ protected:
+  core::Outcome run_impl(flow::SolveContext& ctx, const core::Game& game,
+                         const core::BidVector& bids) const override {
+    if (!has_parked_) {
+      has_parked_ = true;
+      parked_.set_value();
+      release_future_.wait_for(std::chrono::seconds(30));
+    }
+    return inner_.run(ctx, game, bids);
+  }
+
+ private:
+  mutable bool has_parked_ = false;
+  mutable std::promise<void> parked_;
+  std::future<void> parked_future_ = parked_.get_future();
+  std::promise<void> release_;
+  std::future<void> release_future_ = release_.get_future();
+  core::M3DoubleAuction inner_;
+};
+
+// The epoch lock is the service's only lock. A reader of the network
+// waits for the clear in flight, so it never copies capacity a clear has
+// HTLC-locked; intake, the acks' epoch read and the stats endpoint take
+// no service lock, so they never wait for a clear.
+TEST(Service, NetworkSnapshotWaitsForTheEpochInFlight) {
+  const sim::SimulationConfig config = small_config(5);
+  pcn::Network network = make_network(config);
+  ParkFirstClearMechanism mechanism;
+  ServiceConfig service_config;
+  service_config.policy = config.policy;
+  RebalanceService service(network, mechanism, service_config);
+
+  std::future<EpochReport> epoch = std::async(
+      std::launch::async, [&service] { return service.run_epoch(); });
+  ASSERT_TRUE(mechanism.wait_parked());
+
+  BidSubmission bid;
+  bid.player = 1;
+  EXPECT_EQ(service.submit(bid), IntakeStatus::kAccepted);
+  EXPECT_EQ(service.epochs_cleared(), 0);
+  EXPECT_EQ(service.stats_snapshot().queue_depth, 1u);
+
+  std::future<pcn::Network> snapshot = std::async(
+      std::launch::async, [&service] { return service.network_snapshot(); });
+  EXPECT_EQ(snapshot.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout)
+      << "network_snapshot() did not wait for the epoch in flight";
+
+  mechanism.release();
+  const EpochReport report = epoch.get();
+  const pcn::Network settled = snapshot.get();
+  EXPECT_EQ(settled.state_digest(), report.network_digest);
+  for (pcn::ChannelId c = 0; c < settled.num_channels(); ++c) {
+    EXPECT_EQ(settled.channel(c).locked_a, 0) << "channel " << c;
+    EXPECT_EQ(settled.channel(c).locked_b, 0) << "channel " << c;
+  }
 }
 
 }  // namespace

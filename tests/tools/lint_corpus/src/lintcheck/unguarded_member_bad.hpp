@@ -5,7 +5,7 @@
 
 class UnguardedMemberBad {
  private:
-  musketeer::util::OrderedMutex mutex_{musketeer::util::LockRank::kReports,
+  musketeer::util::OrderedMutex mutex_{musketeer::util::LockRank::kBidQueue,
                                        "fixture"};
   int counter_ = 0;
 };

@@ -5,7 +5,7 @@
 
 class UnguardedMemberOk {
  private:
-  musketeer::util::OrderedMutex mutex_{musketeer::util::LockRank::kReports,
+  musketeer::util::OrderedMutex mutex_{musketeer::util::LockRank::kBidQueue,
                                        "fixture"};
   int counter_ MUSK_GUARDED_BY(mutex_) = 0;
   std::vector<int> pending_

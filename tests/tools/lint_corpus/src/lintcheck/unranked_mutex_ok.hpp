@@ -4,7 +4,7 @@
 
 class UnrankedMutexOk {
  private:
-  musketeer::util::OrderedMutex mu_{musketeer::util::LockRank::kReports,
+  musketeer::util::OrderedMutex mu_{musketeer::util::LockRank::kBidQueue,
                                     "fixture"};
   int value_ MUSK_GUARDED_BY(mu_) = 0;
   musketeer::util::OrderedCondVar cv_;

@@ -301,6 +301,9 @@ int main(int argc, char** argv) {
       total.errors += s.errors;
     }
     if (daemon) {
+      // A failed periodic epoch rethrows here (exit 2): the spawned
+      // daemon stopped clearing, so the run has no summary to give.
+      daemon->service().wait_epochs(0, std::chrono::milliseconds(0));
       // Exact server-side latencies beat sampled broadcasts.
       for (const svc::EpochReport& report : daemon->service().reports()) {
         epoch_hist.record(1e3 * report.clear_seconds);

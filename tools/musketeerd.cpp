@@ -46,7 +46,8 @@
 // printing a per-epoch summary line. SIGINT/SIGTERM stop it cleanly.
 //
 // Exit status: 0 on clean shutdown, 1 on usage errors, 2 on runtime
-// errors (bind failure etc).
+// errors (bind failure, a failed epoch such as a journal fsync error,
+// etc).
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -108,7 +109,7 @@ int main(int argc, char** argv) {
       } else if (flag == "--journal") {
         config.journal_path = value;
       } else if (flag == "--snapshot-every") {
-        config.snapshot_every = static_cast<int>(std::stol(value));
+        config.service.snapshot_every = static_cast<int>(std::stol(value));
       } else if (flag == "--journal-keep") {
         config.keep_snapshots = static_cast<int>(std::stol(value));
       } else if (flag == "--trace-out") {
